@@ -102,15 +102,17 @@ def letter_by_value(alphabet: Alphabet, value: int) -> Letter:
     OutOfAlphabetRange if the value exists but is past this alphabet's last
     letter (Hebrew stops at 400).
     """
+    try:
+        return _BY_VALUE[alphabet][value]
+    except (KeyError, TypeError):  # TypeError: an unhashable value
+        pass
+    # The tuple, not a set, so that an unhashable value is no letter value.
     if value not in ABJADI_SEQUENCE:
         raise NotAnAbjadiValue(f"{value} is not a letter value")
-    letter = _BY_VALUE[alphabet].get(value)
-    if letter is None:
-        raise OutOfAlphabetRange(
-            f"{value} exceeds the last {alphabet.value} letter value "
-            f"({max_letter_value(alphabet)})"
-        )
-    return letter
+    raise OutOfAlphabetRange(
+        f"{value} exceeds the last {alphabet.value} letter value "
+        f"({max_letter_value(alphabet)})"
+    )
 
 
 def letter_by_name(alphabet: Alphabet, name: str) -> Letter:

@@ -6,12 +6,37 @@ them in ascending value order, so the units letter comes first in memory
 and shows rightmost in right-to-left script.  "همرغ" is 5+40+200+1000 =
 1245.  Arabic covers 1..1999, Hebrew 1..499; larger numbers have no single
 agreed word form and are rejected.
+
+Decoding and gematria count letters only.  A character is skipped when it
+is whitespace, the tatweel (U+0640, elongation), a combining mark
+(``unicodedata.combining`` nonzero: harakat, shadda, niqqud, any combining
+diacritic) or, in gematria, listed in ``ignore``.  Every other character
+must be a primary or variant codepoint of the chosen alphabet, else
+UnknownLetter: "not a letter of either alphabet" when no alphabet has it,
+"not a <alphabet> letter" when only the other one does.  Zero-width
+joiners and other format characters are not skipped.
+
+Each alphabet has one table, built at import, that maps its letter
+codepoints to their values and the tatweel and the combining marks of the
+Arabic, Hebrew and Combining Diacritical Marks blocks to 0.  A word is
+summed through that table.  A character the table lacks (whitespace inside
+a word, a mark from another block, an ``ignore`` entry, anything unknown)
+sends the whole word through ``_letter_values``, which applies the rule
+above one character at a time.  The table is built with the same rule, so
+it changes no result and no error, only the time taken.
 """
 
 import unicodedata
 from dataclasses import dataclass
 
-from .alphabets import Alphabet, Letter, letter_by_value, letter_for_codepoint
+from .alphabets import (
+    ABJADI_SEQUENCE,
+    Alphabet,
+    Letter,
+    letter_by_value,
+    letter_for_codepoint,
+    letters,
+)
 from .errors import NonCanonical, OutOfRange, UnknownLetter, ZeroUnencodable
 
 MAX_ENCODABLE = {Alphabet.ARABIC: 1999, Alphabet.HEBREW: 499}
@@ -19,7 +44,20 @@ MAX_ENCODABLE = {Alphabet.ARABIC: 1999, Alphabet.HEBREW: 499}
 # Tatweel, the Arabic elongation mark; carries no value, appears freely.
 _TATWEEL = "ـ"
 
-_RANK_BANDS = ((1, 9), (10, 90), (100, 900), (1000, 1000))
+# Rank band of each letter value: 0 units, 1 tens, 2 hundreds, 3 thousands.
+_BAND = {value: len(str(value)) - 1 for value in ABJADI_SEQUENCE}
+
+# The stretches of the Combining Diacritical Marks, Hebrew and Arabic blocks
+# that hold skippable characters; scanning only these keeps import cheap.
+_MARK_RANGES = (
+    (0x0300, 0x036F),
+    (0x0591, 0x05C7),
+    (0x0610, 0x061A),
+    (0x0640, 0x0640),
+    (0x064B, 0x065F),
+    (0x0670, 0x0670),
+    (0x06D6, 0x06ED),
+)
 
 
 @dataclass(frozen=True)
@@ -52,6 +90,8 @@ def encode(n: int, alphabet: Alphabet) -> AbjadNumeral:
     h the letter of value 100h, and for Arabic a thousands part the letter
     of value 1000.  Letters come out in ascending value order.
     """
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"n must be an int, not {type(n).__name__}")
     if n == 0:
         raise ZeroUnencodable("zero is not a letter value and has no word form")
     limit = MAX_ENCODABLE[alphabet]
@@ -67,27 +107,42 @@ def encode(n: int, alphabet: Alphabet) -> AbjadNumeral:
     return AbjadNumeral(alphabet=alphabet, letters=tuple(picked), value=n)
 
 
-def _strippable(ch: str) -> bool:
-    return ch.isspace() or ch == _TATWEEL or unicodedata.combining(ch) != 0
+def _skipped(ch: str, ignore: str = "") -> bool:
+    return (
+        ch in ignore
+        or ch.isspace()
+        or ch == _TATWEEL
+        or unicodedata.combining(ch) != 0
+    )
 
 
-def _word_letters(word: str, alphabet: Alphabet) -> list[Letter]:
-    out = []
-    for ch in word:
-        if _strippable(ch):
+def _letter_values(text: str, alphabet: Alphabet, ignore: str = "") -> list[int]:
+    """Values of the letters of `text` in order, by the skip rule above."""
+    values = []
+    for ch in text:
+        if _skipped(ch, ignore):
             continue
         letter = letter_for_codepoint(ch)
         if letter.alphabet is not alphabet:
             raise UnknownLetter(f"{ch!r} is not a {alphabet.value} letter")
-        out.append(letter)
-    return out
+        values.append(letter.value)
+    return values
 
 
-def _band(value: int) -> int:
-    for i, (lo, hi) in enumerate(_RANK_BANDS):
-        if lo <= value <= hi:
-            return i
-    raise AssertionError(value)
+_SKIPPED_MARKS = {
+    chr(cp): 0
+    for lo, hi in _MARK_RANGES
+    for cp in range(lo, hi + 1)
+    if _skipped(chr(cp))
+}
+# Codepoint -> value, 0 for a skipped mark; see the module docstring.
+_VALUES = {
+    alphabet: {
+        **{cp: letter.value for letter in letters(alphabet) for cp in letter.codepoints},
+        **_SKIPPED_MARKS,
+    }
+    for alphabet in Alphabet
+}
 
 
 def decode(word: str, alphabet: Alphabet, strict: bool = False) -> int:
@@ -97,19 +152,19 @@ def decode(word: str, alphabet: Alphabet, strict: bool = False) -> int:
     mode additionally requires a canonical numeral: strictly ascending
     values, at most one letter per rank band.
     """
-    found = _word_letters(word, alphabet)
-    if not found:
+    try:
+        values = list(filter(None, map(_VALUES[alphabet].__getitem__, word)))
+    except KeyError:
+        values = _letter_values(word, alphabet)
+    if not values:
         raise ValueError("empty word")
-    if strict:
-        values = [letter.value for letter in found]
-        ascending = all(a < b for a, b in zip(values, values[1:]))
-        bands = [_band(v) for v in values]
-        if not ascending or len(set(bands)) != len(bands):
-            raise NonCanonical(
-                f"{word!r} is not a canonical numeral "
-                "(ascending values, one letter per rank)"
-            )
-    return sum(letter.value for letter in found)
+    # Strictly ascending bands means ascending values, one letter per band.
+    if strict and not all(_BAND[a] < _BAND[b] for a, b in zip(values, values[1:])):
+        raise NonCanonical(
+            f"{word!r} is not a canonical numeral "
+            "(ascending values, one letter per rank)"
+        )
+    return sum(values)
 
 
 def gematria(phrase: str, alphabet: Alphabet, ignore: str = "") -> GematriaResult:
@@ -119,16 +174,17 @@ def gematria(phrase: str, alphabet: Alphabet, ignore: str = "") -> GematriaResul
     Codepoints listed in `ignore` (punctuation, typically) are skipped;
     anything else unmapped raises UnknownLetter.
     """
+    table = _VALUES[alphabet]
+    if ignore and not table.keys().isdisjoint(ignore):
+        # An ignored letter must miss the table to reach the skip rule.
+        table = {cp: value for cp, value in table.items() if cp not in ignore}
+    value_of = table.__getitem__
     per_word = []
     for token in phrase.split():
-        value = 0
-        for ch in token:
-            if _strippable(ch) or ch in ignore:
-                continue
-            letter = letter_for_codepoint(ch)
-            if letter.alphabet is not alphabet:
-                raise UnknownLetter(f"{ch!r} is not a {alphabet.value} letter")
-            value += letter.value
+        try:
+            value = sum(map(value_of, token))
+        except KeyError:
+            value = sum(_letter_values(token, alphabet, ignore))
         per_word.append((token, value))
     return GematriaResult(
         total=sum(value for _, value in per_word), per_word=tuple(per_word)

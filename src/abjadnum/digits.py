@@ -75,6 +75,8 @@ _PROVENANCE = _load_provenance()
 
 def render_digits(n: int, script: DigitScript) -> str:
     """Decimal digit string of n in the script's glyphs, big-endian."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"n must be an int, not {type(n).__name__}")
     if n < 0:
         raise ValueError("n must be non-negative")
     glyphs = _GLYPHS[script]

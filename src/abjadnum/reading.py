@@ -50,6 +50,8 @@ def _components(group_value: int) -> tuple[RankComponent, ...]:
 
 def decompose(n: int) -> NumberReading:
     """Base-1000 groups of n, least significant first, zero parts omitted."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"n must be an int, not {type(n).__name__}")
     if n < 0:
         raise ValueError("n must be non-negative")
     groups = []

@@ -81,6 +81,8 @@ class TestLookups:
             letter_by_value(Alphabet.ARABIC, 11)
         with pytest.raises(NotAnAbjadiValue):
             letter_by_value(Alphabet.HEBREW, 450)
+        with pytest.raises(NotAnAbjadiValue):
+            letter_by_value(Alphabet.ARABIC, [40])  # unhashable
 
     def test_letter_by_value_respects_alphabet_maximum(self):
         with pytest.raises(OutOfAlphabetRange):

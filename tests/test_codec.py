@@ -9,15 +9,18 @@ once each, and pins what encode() must return.
 
 import itertools
 import random
+import unicodedata
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abjadnum import (
     MAX_ENCODABLE,
     Alphabet,
+    GematriaResult,
     NonCanonical,
+    NumeralError,
     OutOfRange,
     UnknownLetter,
     ZeroUnencodable,
@@ -28,10 +31,13 @@ from abjadnum import (
 )
 
 
+_RANK_BANDS = ((1, 9), (10, 90), (100, 900), (1000, 1000))
+
+
 def canonical_words(alphabet):
     """Oracle: every canonical (value, word) pair by band enumeration."""
     bands = []
-    for lo, hi in ((1, 9), (10, 90), (100, 900), (1000, 1000)):
+    for lo, hi in _RANK_BANDS:
         band = [letter for letter in letters(alphabet) if lo <= letter.value <= hi]
         if band:
             bands.append([None] + band)
@@ -110,6 +116,12 @@ class TestEncode:
             encode(500, Alphabet.HEBREW)
         with pytest.raises(OutOfRange):
             encode(-7, Alphabet.ARABIC)
+
+    @pytest.mark.parametrize("n", [True, False, 12.0, "12", None])
+    def test_non_int_is_a_usage_error(self, n):
+        with pytest.raises(ValueError, match=r"^n must be an int, not ") as raised:
+            encode(n, Alphabet.ARABIC)
+        assert not isinstance(raised.value, NumeralError)
 
 
 class TestDecode:
@@ -215,3 +227,89 @@ def test_gematria_is_additive_over_concatenation(a, b):
 def test_gematria_total_sums_per_word(word):
     result = gematria(word + " " + word, Alphabet.ARABIC)
     assert result.total == sum(value for _, value in result.per_word)
+
+
+_OWNERS = {
+    cp: (letter.alphabet, letter.value)
+    for alphabet in Alphabet
+    for letter in letters(alphabet)
+    for cp in letter.codepoints
+}
+
+
+def _reference_values(text, alphabet, ignore=""):
+    """The per-character skip rule, written out independently of the codec."""
+    values = []
+    for ch in text:
+        if ch.isspace() or ch == "\u0640" or unicodedata.combining(ch) or ch in ignore:
+            continue
+        if ch not in _OWNERS:
+            raise UnknownLetter(f"{ch!r} is not a letter of either alphabet")
+        owner, value = _OWNERS[ch]
+        if owner is not alphabet:
+            raise UnknownLetter(f"{ch!r} is not a {alphabet.value} letter")
+        values.append(value)
+    return values
+
+
+def _reference_gematria(phrase, alphabet, ignore):
+    per_word = tuple(
+        (token, sum(_reference_values(token, alphabet, ignore))) for token in phrase.split()
+    )
+    return GematriaResult(total=sum(value for _, value in per_word), per_word=per_word)
+
+
+def _reference_decode(word, alphabet, strict):
+    values = _reference_values(word, alphabet)
+    if not values:
+        raise ValueError("empty word")
+    bands = [
+        next(i for i, (lo, hi) in enumerate(_RANK_BANDS) if lo <= value <= hi)
+        for value in values
+    ]
+    if strict and not (
+        all(a < b for a, b in zip(values, values[1:])) and len(set(bands)) == len(bands)
+    ):
+        raise NonCanonical(
+            f"{word!r} is not a canonical numeral (ascending values, one letter per rank)"
+        )
+    return sum(values)
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+_skippable_marks = (
+    [chr(cp) for cp in range(0x064B, 0x0653)]  # Arabic harakat and shadda
+    + ["\u0640"]  # tatweel
+    + [chr(cp) for cp in range(0x05B0, 0x05BD)] + ["\u05C1", "\u05C2"]  # niqqud
+)
+_other_characters = [" ", "\t", "\n", "\u00a0", "\u200d", "\u1ab0", "\u20d0", "a", "Z", "!", "\u060c"]
+_codec_text = st.text(
+    alphabet=st.sampled_from(list(_OWNERS) + _skippable_marks + _other_characters),
+    max_size=24,
+)
+# Few enough candidates that an ignore set often shares a character with the text.
+_ignore_sets = st.text(
+    alphabet=st.sampled_from(
+        ["\u0627", "\u0623", "\u0628", "\u05d4", "\u05dd", "\u064e", "\u05b8",
+         "\u200d", "\u20d0", "!", "\u060c", "a"]
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=400)
+@given(_codec_text, st.sampled_from(list(Alphabet)), _ignore_sets)
+def test_codec_matches_the_per_character_rule(text, alphabet, ignore):
+    assert _outcome(gematria, text, alphabet, ignore) == _outcome(
+        _reference_gematria, text, alphabet, ignore
+    )
+    for strict in (False, True):
+        assert _outcome(decode, text, alphabet, strict) == _outcome(
+            _reference_decode, text, alphabet, strict
+        )

@@ -53,6 +53,11 @@ class TestRenderParse:
         with pytest.raises(ValueError):
             render_digits(-1, W)
 
+    @pytest.mark.parametrize("n", [True, False, 12.0, "12", None])
+    def test_non_int_is_a_usage_error(self, n):
+        with pytest.raises(ValueError, match=r"^n must be an int, not "):
+            render_digits(n, W)
+
     @pytest.mark.parametrize("script", list(DigitScript))
     def test_round_trip_exhaustive(self, script):
         for n in range(10000):
