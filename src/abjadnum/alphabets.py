@@ -7,9 +7,9 @@ variant codepoints, name, value) and are loaded once at import; everything
 here is immutable afterwards.
 """
 
-from dataclasses import dataclass
+import os
+from collections import namedtuple
 from enum import Enum
-from importlib import resources
 
 from .errors import NotAnAbjadiValue, OutOfAlphabetRange, UnknownLetter
 
@@ -24,17 +24,10 @@ class Alphabet(Enum):
     HEBREW = "hebrew"
 
 
-@dataclass(frozen=True)
-class Letter:
+class Letter(namedtuple("Letter", "codepoint variants name value order alphabet")):
     """One letter with its value and place in the letter-value order."""
 
-    codepoint: str
-    variants: tuple[str, ...]
-    name: str
-    sound: str
-    value: int
-    order: int
-    alphabet: Alphabet
+    __slots__ = ()
 
     @property
     def codepoints(self) -> tuple[str, ...]:
@@ -43,17 +36,17 @@ class Letter:
 
 
 def _load(alphabet: Alphabet) -> tuple[Letter, ...]:
-    path = resources.files(__package__) / "data" / f"{alphabet.value}.tsv"
+    path = os.path.join(os.path.dirname(__file__), "data", f"{alphabet.value}.tsv")
+    with open(path, encoding="utf-8") as tsv:
+        lines = tsv.read().splitlines()
     letters = []
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in lines:
         order, primary, variants, name, value = line.split("\t")
         letters.append(
             Letter(
                 codepoint=primary,
                 variants=tuple(v for v in variants.split(",") if v),
                 name=name,
-                # the source tables carry one word per letter, naming its sound
-                sound=name,
                 value=int(value),
                 order=int(order),
                 alphabet=alphabet,
@@ -116,7 +109,11 @@ def letter_by_value(alphabet: Alphabet, value: int) -> Letter:
 
 
 def letter_by_name(alphabet: Alphabet, name: str) -> Letter:
-    return _BY_NAME[alphabet][name]
+    """The letter of `alphabet` called `name` (as in the TSV tables)."""
+    try:
+        return _BY_NAME[alphabet][name]
+    except KeyError:
+        raise UnknownLetter(f"{name!r} is not the name of a {alphabet.value} letter") from None
 
 
 def letter_for_codepoint(codepoint: str) -> Letter:

@@ -3,27 +3,45 @@
 The Hijri calendar is lunar: one Hijri year is about 0.970224 Gregorian
 years, with year 1 AH starting in 622 CE.  Linear rounding at year
 granularity is all the manuscript dates need; no month/day calendar here.
+The arithmetic is exact integer arithmetic, rounding halves to even, so
+any size of year converts.
 """
 
 from .errors import PreEpoch
 
-# Lunar-to-solar year length ratio and the epoch offset in Gregorian years.
-YEAR_RATIO = 0.970224
-EPOCH_OFFSET = 621.5774
+# Lunar-to-solar year length ratio (0.970224) and the epoch offset in
+# Gregorian years (621.5774), both in millionths.
+YEAR_RATIO_MILLIONTHS = 970_224
+EPOCH_OFFSET_MILLIONTHS = 621_577_400
 
 HIJRI_EPOCH_CE = 622
 
 
+def _check_int(name: str, year) -> None:
+    if isinstance(year, bool) or not isinstance(year, int):
+        raise ValueError(f"{name} must be an int, not {type(year).__name__}")
+
+
+def _round_div(num: int, den: int) -> int:
+    """num / den rounded to the nearest integer, halves to even (den > 0)."""
+    q, r = divmod(num, den)
+    if 2 * r > den or (2 * r == den and q % 2):
+        q += 1
+    return q
+
+
 def hijri_to_gregorian_year(h: int) -> int:
     """Approximate Gregorian year of Hijri year h (may be off by one)."""
+    _check_int("h", h)
     if h < 1:
         raise ValueError("Hijri years start at 1")
-    return round(YEAR_RATIO * h + EPOCH_OFFSET)
+    return _round_div(YEAR_RATIO_MILLIONTHS * h + EPOCH_OFFSET_MILLIONTHS, 10**6)
 
 
 def gregorian_to_hijri_year(g: int) -> int:
     """Approximate Hijri year of Gregorian year g (may be off by one)."""
+    _check_int("g", g)
     if g < HIJRI_EPOCH_CE:
         raise PreEpoch(f"{g} CE precedes the first Hijri year ({HIJRI_EPOCH_CE} CE)")
     # 622 CE itself rounds to 0; Hijri years start at 1.
-    return max(1, round((g - EPOCH_OFFSET) / YEAR_RATIO))
+    return max(1, _round_div(g * 10**6 - EPOCH_OFFSET_MILLIONTHS, YEAR_RATIO_MILLIONTHS))

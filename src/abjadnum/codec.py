@@ -27,12 +27,11 @@ it changes no result and no error, only the time taken.
 """
 
 import unicodedata
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .alphabets import (
     ABJADI_SEQUENCE,
     Alphabet,
-    Letter,
     letter_by_value,
     letter_for_codepoint,
     letters,
@@ -60,13 +59,10 @@ _MARK_RANGES = (
 )
 
 
-@dataclass(frozen=True)
-class AbjadNumeral:
+class AbjadNumeral(namedtuple("AbjadNumeral", "alphabet letters value")):
     """A canonical letter-word denoting `value` in one alphabet."""
 
-    alphabet: Alphabet
-    letters: tuple[Letter, ...]
-    value: int
+    __slots__ = ()
 
     @property
     def text(self) -> str:
@@ -76,10 +72,8 @@ class AbjadNumeral:
         return self.text
 
 
-@dataclass(frozen=True)
-class GematriaResult:
-    total: int
-    per_word: tuple[tuple[str, int], ...]
+# per_word holds one (token, value) pair per whitespace-separated token.
+GematriaResult = namedtuple("GematriaResult", "total per_word")
 
 
 def encode(n: int, alphabet: Alphabet) -> AbjadNumeral:

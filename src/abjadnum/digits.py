@@ -13,11 +13,12 @@ provenance table ships as a TSV next to this module (script, digit, source
 alphabet, source letter name, transformation note).
 """
 
-from dataclasses import dataclass
+import os
+import sys
+from collections import namedtuple
 from enum import Enum
-from importlib import resources
 
-from .alphabets import Alphabet, Letter, letter_by_name
+from .alphabets import Alphabet, letter_by_name
 from .errors import InvalidGlyph, UnsupportedBase
 
 
@@ -43,21 +44,18 @@ SEPARATORS = " .,-/"
 _BASE16_GLYPHS = "0123456789ABCDEF"
 
 
-@dataclass(frozen=True)
-class DigitProvenance:
+class DigitProvenance(namedtuple("DigitProvenance", "digit script alphabet letter note")):
     """The source letter and reshaping behind one digit glyph."""
 
-    digit: int
-    script: DigitScript
-    alphabet: Alphabet
-    letter: Letter
-    note: str
+    __slots__ = ()
 
 
 def _load_provenance() -> dict[tuple[DigitScript, int], DigitProvenance]:
-    path = resources.files(__package__) / "data" / "digit_provenance.tsv"
+    path = os.path.join(os.path.dirname(__file__), "data", "digit_provenance.tsv")
+    with open(path, encoding="utf-8") as tsv:
+        lines = tsv.read().splitlines()
     table = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in lines:
         script, digit, alphabet, letter_name, note = line.split("\t")
         entry = DigitProvenance(
             digit=int(digit),
@@ -79,8 +77,15 @@ def render_digits(n: int, script: DigitScript) -> str:
         raise ValueError(f"n must be an int, not {type(n).__name__}")
     if n < 0:
         raise ValueError("n must be non-negative")
+    try:
+        decimal = str(n)
+    except ValueError:  # past the interpreter's int-to-str digit limit
+        raise ValueError(
+            f"n has more than {sys.get_int_max_str_digits()} decimal digits, "
+            "the most that can be rendered"
+        ) from None
     glyphs = _GLYPHS[script]
-    return "".join(glyphs[int(d)] for d in str(n))
+    return "".join(glyphs[int(d)] for d in decimal)
 
 
 def parse_digits(text: str, script: DigitScript) -> int:

@@ -6,7 +6,7 @@ the units: 12457892 becomes "2 et 90 et 800 ; 7 et 50 et 400 mille ; 2 et
 values from the top: "12 millions 457 mille 892".
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InsufficientLabels
 
@@ -18,25 +18,18 @@ RIGHT_TO_LEFT = "rtl"
 LEFT_TO_RIGHT = "ltr"
 
 
-@dataclass(frozen=True)
-class RankComponent:
-    rank: str  # "units" | "tens" | "hundreds"
-    value: int
+# rank is "units", "tens" or "hundreds".
+RankComponent = namedtuple("RankComponent", "rank value")
 
 
-@dataclass(frozen=True)
-class Group:
+class Group(namedtuple("Group", "index value components")):
     """One base-1000 group: value = group value, weight 1000**index."""
 
-    index: int
-    value: int
-    components: tuple[RankComponent, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NumberReading:
-    value: int
-    groups: tuple[Group, ...]  # least significant group first
+# groups runs from the least significant group up.
+NumberReading = namedtuple("NumberReading", "value groups")
 
 
 def _components(group_value: int) -> tuple[RankComponent, ...]:

@@ -11,6 +11,7 @@ from abjadnum import (
     max_letter_value,
     value_of_letter,
 )
+from abjadnum.alphabets import letter_by_name
 
 EXPECTED_SEQUENCE = (
     1, 2, 3, 4, 5, 6, 7, 8, 9,
@@ -94,6 +95,11 @@ class TestLookups:
         assert value_of_letter("ح") == (Alphabet.ARABIC, 8)
         assert value_of_letter("ם") == (Alphabet.HEBREW, 40)  # final Mem
         assert value_of_letter("ة") == (Alphabet.ARABIC, 5)  # Taa marbuta
+
+    def test_letter_by_name(self):
+        assert letter_by_name(Alphabet.HEBREW, "Vav").value == 6
+        with pytest.raises(UnknownLetter, match=r"^'Sad' is not the name of a hebrew letter$"):
+            letter_by_name(Alphabet.HEBREW, "Sad")
 
     def test_value_of_letter_rejects_unknown(self):
         for cp in ("X", "1", "؟"):

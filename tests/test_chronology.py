@@ -1,4 +1,8 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from abjadnum import PreEpoch, gregorian_to_hijri_year, hijri_to_gregorian_year
 
@@ -54,3 +58,27 @@ class TestProperties:
     def test_results_are_plain_ints(self):
         assert isinstance(hijri_to_gregorian_year(1225), int)
         assert isinstance(gregorian_to_hijri_year(1810), int)
+
+
+
+HUGE = int("9" * 400)
+# The exact rationals; round() of a Fraction rounds halves to even.
+RATIO, OFFSET = Fraction("0.970224"), Fraction("621.5774")
+
+
+class TestExactArithmetic:
+    def test_400_digit_years(self):
+        assert hijri_to_gregorian_year(HUGE) == round(RATIO * HUGE + OFFSET)
+        assert gregorian_to_hijri_year(HUGE) == round((HUGE - OFFSET) / RATIO)
+
+    @pytest.mark.parametrize("year", [True, 1225.0, "1225", None])
+    def test_non_int_is_a_usage_error(self, year):
+        for convert, name in ((hijri_to_gregorian_year, "h"), (gregorian_to_hijri_year, "g")):
+            with pytest.raises(ValueError, match=rf"^{name} must be an int, not "):
+                convert(year)
+
+    @given(st.integers(min_value=1, max_value=10**60))
+    def test_both_directions_match_exact_rationals(self, year):
+        assert hijri_to_gregorian_year(year) == round(RATIO * year + OFFSET)
+        if year >= 622:
+            assert gregorian_to_hijri_year(year) == max(1, round((year - OFFSET) / RATIO))

@@ -6,7 +6,15 @@ import types
 
 import pytest
 
-from abjadnum import Alphabet, encode, format_reading, decompose, gematria
+from abjadnum import (
+    Alphabet,
+    decompose,
+    encode,
+    format_reading,
+    gematria,
+    gregorian_to_hijri_year,
+    hijri_to_gregorian_year,
+)
 from abjadnum.cli import main
 
 
@@ -82,6 +90,13 @@ class TestHappyPaths:
     def test_hijri_reverse(self, capsys):
         code, out, _ = run_cli(capsys, "hijri", "--reverse", "1810")
         assert (code, out) == (0, "1225\n")
+
+    def test_hijri_400_digit_year_both_directions(self, capsys):
+        year = int("9" * 400)
+        code, out, _ = run_cli(capsys, "hijri", str(year))
+        assert (code, out) == (0, f"{hijri_to_gregorian_year(year)}\n")
+        code, out, _ = run_cli(capsys, "hijri", "--reverse", str(year))
+        assert (code, out) == (0, f"{gregorian_to_hijri_year(year)}\n")
 
 
 class TestStdin:

@@ -53,6 +53,11 @@ class TestRenderParse:
         with pytest.raises(ValueError):
             render_digits(-1, W)
 
+    def test_past_the_digit_limit_names_the_limit(self):
+        with pytest.raises(ValueError, match=r"^n has more than \d+ decimal digits") as exc:
+            render_digits(10**5000, W)
+        assert "set_int_max_str_digits" not in str(exc.value)
+
     @pytest.mark.parametrize("n", [True, False, 12.0, "12", None])
     def test_non_int_is_a_usage_error(self, n):
         with pytest.raises(ValueError, match=r"^n must be an int, not "):
