@@ -112,7 +112,7 @@ def letter_by_name(alphabet: Alphabet, name: str) -> Letter:
     """The letter of `alphabet` called `name` (as in the TSV tables)."""
     try:
         return _BY_NAME[alphabet][name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise UnknownLetter(f"{name!r} is not the name of a {alphabet.value} letter") from None
 
 

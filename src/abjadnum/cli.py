@@ -17,6 +17,8 @@ from .errors import NumeralError
 
 _SCRIPTS = [script.value for script in DigitScript]
 _ALPHABETS = [alphabet.value for alphabet in Alphabet]
+# A rejected argument is echoed up to this many characters.
+_ECHO_CHARS = 40
 
 
 def _text_input(given: str | None) -> str:
@@ -30,7 +32,20 @@ def _int_input(given: str | None) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ValueError(f"expected an integer, got {text!r}") from None
+        shown = repr(text[:_ECHO_CHARS])
+        if len(text) > _ECHO_CHARS:
+            shown += f"... ({len(text)} characters)"
+        raise ValueError(f"expected an integer, got {shown}") from None
+
+
+def _decimal(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:  # past the interpreter's int-to-str digit limit
+        raise ValueError(
+            f"the result has more than {sys.get_int_max_str_digits()} decimal digits, "
+            "the most that can be printed"
+        ) from None
 
 
 def _letter_dict(letter) -> dict:
@@ -125,7 +140,7 @@ def _cmd_hijri(args) -> tuple[str, dict]:
     else:
         out = chronology.hijri_to_gregorian_year(year)
         direction = "ah-to-ce"
-    return str(out), {"input": year, "output": out, "direction": direction}
+    return _decimal(out), {"input": year, "output": out, "direction": direction}
 
 
 _COMMANDS = {

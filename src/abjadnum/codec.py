@@ -66,7 +66,7 @@ class AbjadNumeral(namedtuple("AbjadNumeral", "alphabet letters value")):
 
     @property
     def text(self) -> str:
-        return "".join(letter.codepoint for letter in self.letters)
+        return "".join([letter.codepoint for letter in self.letters])
 
     def __str__(self) -> str:
         return self.text
@@ -74,6 +74,21 @@ class AbjadNumeral(namedtuple("AbjadNumeral", "alphabet letters value")):
 
 # per_word holds one (token, value) pair per whitespace-separated token.
 GematriaResult = namedtuple("GematriaResult", "total per_word")
+
+# _RANK_LETTERS[alphabet][r][d] is () for d == 0, else a one-tuple of the
+# letter of value d * 10**r; digits past MAX_ENCODABLE have no entry.
+_RANK_LETTERS = {
+    alphabet: tuple(
+        ((),)
+        + tuple(
+            (letter_by_value(alphabet, digit * scale),)
+            for digit in range(1, 10)
+            if digit * scale <= limit
+        )
+        for scale in (1, 10, 100, 1000)
+    )
+    for alphabet, limit in MAX_ENCODABLE.items()
+}
 
 
 def encode(n: int, alphabet: Alphabet) -> AbjadNumeral:
@@ -91,14 +106,9 @@ def encode(n: int, alphabet: Alphabet) -> AbjadNumeral:
     limit = MAX_ENCODABLE[alphabet]
     if not 1 <= n <= limit:
         raise OutOfRange(f"{n} is outside 1..{limit} for {alphabet.value}")
-    picked = []
-    rest = n
-    for scale in (1, 10, 100, 1000):
-        digit = rest % 10
-        rest //= 10
-        if digit:
-            picked.append(letter_by_value(alphabet, digit * scale))
-    return AbjadNumeral(alphabet=alphabet, letters=tuple(picked), value=n)
+    units, tens, hundreds, thousands = _RANK_LETTERS[alphabet]
+    picked = units[n % 10] + tens[n // 10 % 10] + hundreds[n // 100 % 10] + thousands[n // 1000]
+    return tuple.__new__(AbjadNumeral, (alphabet, picked, n))
 
 
 def _skipped(ch: str, ignore: str = "") -> bool:

@@ -11,6 +11,12 @@ say together with the script tag.
 Each digit of each script descends from one Arabic or Hebrew letter; the
 provenance table ships as a TSV next to this module (script, digit, source
 alphabet, source letter name, transformation note).
+
+Rendering, parsing and transliteration go through ``str.translate`` tables
+built at import, one per (source, target) script pair.  A text is first
+checked by deleting every character its script accepts (the ten glyphs,
+and for transliterate the separators): whatever is left starts with the
+first invalid glyph, which the InvalidGlyph message names.
 """
 
 import os
@@ -33,13 +39,20 @@ _GLYPHS = {
     DigitScript.MASHREKI_EASTERN: "٠١٢٣٤٥٦٧٨٩",  # U+0660..U+0669
     DigitScript.ORIGINAL_MAGHREBI: "0123546789",  # proxy glyphs, 4/5 swapped
 }
-_VALUES = {
-    script: {glyph: value for value, glyph in enumerate(glyphs)}
-    for script, glyphs in _GLYPHS.items()
-}
 
 # Non-digit codepoints passed through untouched by transliterate().
 SEPARATORS = " .,-/"
+
+# _TRANSLATE[src][dst] maps each glyph of src to the value-equal glyph of dst.
+_TRANSLATE = {
+    src: {dst: str.maketrans(src_glyphs, dst_glyphs) for dst, dst_glyphs in _GLYPHS.items()}
+    for src, src_glyphs in _GLYPHS.items()
+}
+# Deleting tables: what survives them is not a digit (or separator) of the script.
+_NOT_DIGITS = {script: str.maketrans("", "", glyphs) for script, glyphs in _GLYPHS.items()}
+_NOT_DIGITS_OR_SEPARATORS = {
+    script: str.maketrans("", "", glyphs + SEPARATORS) for script, glyphs in _GLYPHS.items()
+}
 
 _BASE16_GLYPHS = "0123456789ABCDEF"
 
@@ -78,27 +91,36 @@ def render_digits(n: int, script: DigitScript) -> str:
     if n < 0:
         raise ValueError("n must be non-negative")
     try:
-        decimal = str(n)
+        decimal = int.__repr__(n)  # digits even where a subclass overrides __str__
     except ValueError:  # past the interpreter's int-to-str digit limit
         raise ValueError(
             f"n has more than {sys.get_int_max_str_digits()} decimal digits, "
             "the most that can be rendered"
         ) from None
-    glyphs = _GLYPHS[script]
-    return "".join(glyphs[int(d)] for d in decimal)
+    return decimal.translate(_TRANSLATE[DigitScript.WESTERN][script])
+
+
+def _check_text(text) -> None:
+    if not isinstance(text, str):
+        raise ValueError(f"text must be a str, not {type(text).__name__}")
 
 
 def parse_digits(text: str, script: DigitScript) -> int:
     """Inverse of render_digits; InvalidGlyph outside the script's glyph set."""
+    _check_text(text)
     if not text:
         raise ValueError("empty digit string")
-    values = _VALUES[script]
-    n = 0
-    for ch in text:
-        if ch not in values:
-            raise InvalidGlyph(f"{ch!r} is not a {script.value} digit")
-        n = n * 10 + values[ch]
-    return n
+    rest = text.translate(_NOT_DIGITS[script])
+    if rest:
+        raise InvalidGlyph(f"{rest[0]!r} is not a {script.value} digit")
+    western = text.translate(_TRANSLATE[script][DigitScript.WESTERN])
+    try:
+        return int(western)
+    except ValueError:  # past the interpreter's int-from-str digit limit
+        n = 0
+        for d in western:
+            n = n * 10 + ord(d) - 48
+        return n
 
 
 def transliterate(text: str, src: DigitScript, dst: DigitScript) -> str:
@@ -107,17 +129,12 @@ def transliterate(text: str, src: DigitScript, dst: DigitScript) -> str:
     Digit count and positions are preserved; the separators " .,-/" pass
     through unchanged (dates, folio labels).
     """
-    values = _VALUES[src]
-    glyphs = _GLYPHS[dst]
-    out = []
-    for ch in text:
-        if ch in SEPARATORS:
-            out.append(ch)
-        elif ch in values:
-            out.append(glyphs[values[ch]])
-        else:
-            raise InvalidGlyph(f"{ch!r} is not a {src.value} digit or separator")
-    return "".join(out)
+    _check_text(text)
+    table = _TRANSLATE[src][dst]
+    rest = text.translate(_NOT_DIGITS_OR_SEPARATORS[src])
+    if rest:
+        raise InvalidGlyph(f"{rest[0]!r} is not a {src.value} digit or separator")
+    return text.translate(table)
 
 
 def digit_provenance(digit: int, script: DigitScript) -> DigitProvenance:

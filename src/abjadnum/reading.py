@@ -32,13 +32,20 @@ class Group(namedtuple("Group", "index value components")):
 NumberReading = namedtuple("NumberReading", "value groups")
 
 
+# The rank records, shared by every reading: entry d of a rank's table is ()
+# for d == 0, else a one-tuple of the component of value d * 10**rank.
+_UNITS, _TENS, _HUNDREDS = tuple(
+    ((),) + tuple((RankComponent(rank, digit * scale),) for digit in range(1, 10))
+    for rank, scale in zip(RANKS, (1, 10, 100))
+)
+
+_new = tuple.__new__  # positional record construction, as namedtuple's _make
+
+
 def _components(group_value: int) -> tuple[RankComponent, ...]:
-    out = []
-    for rank, scale in zip(RANKS, (1, 10, 100)):
-        digit = group_value // scale % 10
-        if digit:
-            out.append(RankComponent(rank=rank, value=digit * scale))
-    return tuple(out)
+    return (
+        _UNITS[group_value % 10] + _TENS[group_value // 10 % 10] + _HUNDREDS[group_value // 100]
+    )
 
 
 def decompose(n: int) -> NumberReading:
@@ -50,12 +57,11 @@ def decompose(n: int) -> NumberReading:
     groups = []
     rest = n
     while True:
-        value = rest % 1000
-        groups.append(Group(index=len(groups), value=value, components=_components(value)))
-        rest //= 1000
-        if rest == 0:
+        rest, value = divmod(rest, 1000)
+        groups.append(_new(Group, (len(groups), value, _components(value))))
+        if not rest:
             break
-    return NumberReading(value=n, groups=tuple(groups))
+    return _new(NumberReading, (n, tuple(groups)))
 
 
 def format_reading(
@@ -81,7 +87,7 @@ def format_reading(
         for group in reading.groups:
             if not group.components:
                 continue
-            spoken = " et ".join(str(c.value) for c in group.components)
+            spoken = " et ".join([str(c.value) for c in group.components])
             label = labels[group.index]
             parts.append(f"{spoken} {label}" if label else spoken)
         joiner = " et " if figure_exact else " ; "

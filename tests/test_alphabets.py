@@ -101,6 +101,10 @@ class TestLookups:
         with pytest.raises(UnknownLetter, match=r"^'Sad' is not the name of a hebrew letter$"):
             letter_by_name(Alphabet.HEBREW, "Sad")
 
+    def test_letter_by_name_rejects_an_unhashable_name(self):
+        with pytest.raises(UnknownLetter, match=r"^\['Sad'\] is not the name of a arabic letter$"):
+            letter_by_name(Alphabet.ARABIC, ["Sad"])
+
     def test_value_of_letter_rejects_unknown(self):
         for cp in ("X", "1", "؟"):
             with pytest.raises(UnknownLetter):

@@ -197,6 +197,27 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "usage error" in err
 
+    def test_result_past_the_digit_limit_names_the_limit(self, capsys):
+        year = "9" * sys.get_int_max_str_digits()
+        code, out, err = run_cli(capsys, "hijri", "--reverse", year)
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            f"usage error: the result has more than {sys.get_int_max_str_digits()} "
+            "decimal digits"
+        )
+        assert "set_int_max_str_digits" not in err
+
+    def test_rejected_argument_is_echoed_in_short(self, capsys):
+        year = "9" * (sys.get_int_max_str_digits() + 1)
+        code, out, err = run_cli(capsys, "hijri", "--reverse", year)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"usage error: expected an integer, got '{'9' * 40}'... "
+            f"({len(year)} characters)\n"
+        )
+        code, _, err = run_cli(capsys, "read", "12x")
+        assert (code, err) == (2, "usage error: expected an integer, got '12x'\n")
+
     def test_empty_decode_input(self, capsys, monkeypatch):
         monkeypatch.setattr(
             sys, "stdin", types.SimpleNamespace(buffer=io.BytesIO(b"  \n"))

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from abjadnum import (
     MAX_ENCODABLE,
+    AbjadNumeral,
     Alphabet,
     GematriaResult,
     NonCanonical,
@@ -313,3 +314,39 @@ def test_codec_matches_the_per_character_rule(text, alphabet, ignore):
         assert _outcome(decode, text, alphabet, strict) == _outcome(
             _reference_decode, text, alphabet, strict
         )
+
+
+def _reference_encode(n, alphabet):
+    """The per-rank loop that encode() replaced with per-rank tables."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"n must be an int, not {type(n).__name__}")
+    if n == 0:
+        raise ZeroUnencodable("zero is not a letter value and has no word form")
+    limit = MAX_ENCODABLE[alphabet]
+    if not 1 <= n <= limit:
+        raise OutOfRange(f"{n} is outside 1..{limit} for {alphabet.value}")
+    by_value = {letter.value: letter for letter in letters(alphabet)}
+    picked = []
+    rest = n
+    for scale in (1, 10, 100, 1000):
+        digit = rest % 10
+        rest //= 10
+        if digit:
+            picked.append(by_value[digit * scale])
+    return AbjadNumeral(alphabet=alphabet, letters=tuple(picked), value=n)
+
+
+@settings(max_examples=400)
+@given(
+    st.one_of(
+        st.integers(min_value=-20, max_value=2600),
+        st.sampled_from([-(10**30), 10**30, True, False, 12.0, "12", None]),
+    ),
+    st.sampled_from(list(Alphabet)),
+)
+def test_encode_matches_the_rank_loop(n, alphabet):
+    got, expected = _outcome(encode, n, alphabet), _outcome(_reference_encode, n, alphabet)
+    assert got == expected
+    if got[0] == "value":
+        assert type(got[1]) is AbjadNumeral
+        assert got[1].text == "".join(letter.codepoint for letter in expected[1].letters)

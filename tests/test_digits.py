@@ -1,12 +1,15 @@
 import itertools
+import random
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abjadnum import (
     Alphabet,
     DigitScript,
+    SEPARATORS,
     InvalidGlyph,
     UnsupportedBase,
     base_digit_set,
@@ -62,6 +65,15 @@ class TestRenderParse:
     def test_non_int_is_a_usage_error(self, n):
         with pytest.raises(ValueError, match=r"^n must be an int, not "):
             render_digits(n, W)
+
+    def test_int_subclass_renders_its_digits(self):
+        class Labelled(int):
+            def __str__(self):
+                return "folio"
+
+            __repr__ = __str__
+
+        assert render_digits(Labelled(45), O) == "54"
 
     @pytest.mark.parametrize("script", list(DigitScript))
     def test_round_trip_exhaustive(self, script):
@@ -191,3 +203,118 @@ class TestBaseDigitSet:
     def test_unsupported_bases(self, base):
         with pytest.raises(UnsupportedBase):
             base_digit_set(base)
+
+
+@pytest.mark.parametrize("text", [123, ["1", "2"], b"12", None])
+@pytest.mark.parametrize(
+    "call", [lambda text: parse_digits(text, W), lambda text: transliterate(text, W, M)]
+)
+def test_non_str_text_is_a_usage_error(call, text):
+    with pytest.raises(ValueError, match=rf"^text must be a str, not {type(text).__name__}$"):
+        call(text)
+
+
+@pytest.mark.parametrize("script", list(DigitScript))
+def test_parse_past_a_lowered_digit_limit(script):
+    western = "".join(random.Random(1000).choices("0123456789", k=1000))
+    expected = int(western)
+    text = transliterate(western, W, script)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        got = parse_digits(text, script)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == expected
+
+
+# -- the table-driven paths against the per-character loops they replaced ----
+
+_REF_GLYPHS = {W: "0123456789", M: "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+               O: "0123546789"}
+
+
+def _reference_render(n, script):
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"n must be an int, not {type(n).__name__}")
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    try:
+        decimal = str(n)
+    except ValueError:
+        raise ValueError(
+            f"n has more than {sys.get_int_max_str_digits()} decimal digits, "
+            "the most that can be rendered"
+        ) from None
+    return "".join(_REF_GLYPHS[script][int(d)] for d in decimal)
+
+
+def _reference_parse(text, script):
+    if not text:
+        raise ValueError("empty digit string")
+    n = 0
+    for ch in text:
+        if ch not in _REF_GLYPHS[script]:
+            raise InvalidGlyph(f"{ch!r} is not a {script.value} digit")
+        n = n * 10 + _REF_GLYPHS[script].index(ch)
+    return n
+
+
+def _reference_transliterate(text, src, dst):
+    out = []
+    for ch in text:
+        if ch in " .,-/":
+            out.append(ch)
+        elif ch in _REF_GLYPHS[src]:
+            out.append(_REF_GLYPHS[dst][_REF_GLYPHS[src].index(ch)])
+        else:
+            raise InvalidGlyph(f"{ch!r} is not a {src.value} digit or separator")
+    return "".join(out)
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+# Glyphs of all three scripts, the separators, and characters int() would
+# accept around or inside digits: "_", "+", whitespace, Extended Arabic-Indic one.
+_SOUP = sorted(set("".join(_REF_GLYPHS.values()) + SEPARATORS + "_+ \t\n\u06f1"))
+_scripts = st.sampled_from(list(DigitScript))
+
+
+def _texts(script, extra=""):
+    valid = st.text(alphabet=st.sampled_from(sorted(_REF_GLYPHS[script] + extra)), max_size=30)
+    return st.one_of(valid, st.text(alphabet=st.sampled_from(_SOUP), max_size=30))
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(
+        st.integers(min_value=-10, max_value=10**40),
+        st.sampled_from([10**4299, 10**4300, 10**5000, True, False]),
+    ),
+    _scripts,
+)
+def test_render_matches_the_digit_loop(n, script):
+    assert _outcome(render_digits, n, script) == _outcome(_reference_render, n, script)
+
+
+@settings(max_examples=300)
+@given(_scripts.flatmap(lambda script: st.tuples(st.just(script), _texts(script))))
+def test_parse_matches_the_digit_loop(drawn):
+    script, text = drawn
+    assert _outcome(parse_digits, text, script) == _outcome(_reference_parse, text, script)
+
+
+@settings(max_examples=300)
+@given(
+    _scripts.flatmap(lambda src: st.tuples(st.just(src), _texts(src, SEPARATORS))), _scripts
+)
+def test_transliterate_matches_the_digit_loop(drawn, dst):
+    src, text = drawn
+    assert _outcome(transliterate, text, src, dst) == _outcome(
+        _reference_transliterate, text, src, dst
+    )

@@ -1,10 +1,13 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abjadnum import (
     DEFAULT_LABELS,
+    Group,
     InsufficientLabels,
+    NumberReading,
+    RankComponent,
     decompose,
     format_reading,
 )
@@ -146,3 +149,80 @@ def test_emitted_content_matches_the_reading(n):
     else:
         assert sorted(rtl_numbers) == sorted(flat_components(reading))
         assert ltr_numbers == [g.value for g in reversed(reading.groups) if g.value]
+
+
+# -- the shared rank records against the per-rank loops they replaced --------
+
+
+def _reference_decompose(n):
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"n must be an int, not {type(n).__name__}")
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    groups = []
+    rest = n
+    while True:
+        value = rest % 1000
+        components = tuple(
+            RankComponent(rank=rank, value=value // scale % 10 * scale)
+            for rank, scale in (("units", 1), ("tens", 10), ("hundreds", 100))
+            if value // scale % 10
+        )
+        groups.append(Group(index=len(groups), value=value, components=components))
+        rest //= 1000
+        if rest == 0:
+            break
+    return NumberReading(value=n, groups=tuple(groups))
+
+
+def _reference_format(reading, direction, labels, figure_exact):
+    if len(reading.groups) > len(labels):
+        raise InsufficientLabels(f"{len(reading.groups)} groups but only {len(labels)} labels")
+    parts = []
+    if direction == "rtl":
+        for group in reading.groups:
+            if group.components:
+                spoken = " et ".join(str(c.value) for c in group.components)
+                label = labels[group.index]
+                parts.append(f"{spoken} {label}" if label else spoken)
+        return (" et " if figure_exact else " ; ").join(parts) if parts else "0"
+    for group in reversed(reading.groups):
+        if group.value:
+            label = labels[group.index]
+            parts.append(f"{group.value} {label}" if label else str(group.value))
+    return " ".join(parts) if parts else "0"
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+def _record_types(reading):
+    return [type(reading)] + [
+        (type(g), [type(c) for c in g.components]) for g in reading.groups
+    ]
+
+
+_MODES = [("rtl", False), ("ltr", False), ("rtl", True)]
+_LONG_LABELS = tuple(f"L{i}" for i in range(20))
+
+
+@settings(max_examples=400)
+@given(
+    st.one_of(st.integers(min_value=-5, max_value=10**40), st.booleans()),
+    st.sampled_from(_MODES),
+    st.sampled_from([DEFAULT_LABELS, _LONG_LABELS]),
+)
+def test_reading_matches_the_rank_loop(n, mode, labels):
+    got, expected = _outcome(decompose, n), _outcome(_reference_decompose, n)
+    assert got == expected
+    if got[0] != "value":
+        return
+    assert _record_types(got[1]) == _record_types(expected[1])
+    direction, figure_exact = mode
+    assert _outcome(format_reading, got[1], direction, labels, figure_exact) == _outcome(
+        _reference_format, expected[1], direction, labels, figure_exact
+    )
