@@ -11,11 +11,10 @@ from .alphabets import (
     ABJADI_SEQUENCE,
     Alphabet,
     Letter,
-    abjadi_sequence,
     letter_by_value,
+    letter_for_codepoint,
     letters,
     max_letter_value,
-    value_of_letter,
 )
 from .chronology import gregorian_to_hijri_year, hijri_to_gregorian_year
 from .codec import MAX_ENCODABLE, AbjadNumeral, GematriaResult, decode, encode, gematria
@@ -23,7 +22,6 @@ from .digits import (
     SEPARATORS,
     DigitProvenance,
     DigitScript,
-    base_digit_set,
     digit_provenance,
     parse_digits,
     render_digits,
@@ -39,7 +37,6 @@ from .errors import (
     OutOfRange,
     PreEpoch,
     UnknownLetter,
-    UnsupportedBase,
     ZeroUnencodable,
 )
 from .reading import (
@@ -59,11 +56,10 @@ __all__ = [
     "ABJADI_SEQUENCE",
     "Alphabet",
     "Letter",
-    "abjadi_sequence",
     "letters",
     "letter_by_value",
+    "letter_for_codepoint",
     "max_letter_value",
-    "value_of_letter",
     "AbjadNumeral",
     "GematriaResult",
     "MAX_ENCODABLE",
@@ -77,7 +73,6 @@ __all__ = [
     "parse_digits",
     "transliterate",
     "digit_provenance",
-    "base_digit_set",
     "NumberReading",
     "Group",
     "RankComponent",
@@ -96,7 +91,6 @@ __all__ = [
     "ZeroUnencodable",
     "NonCanonical",
     "InvalidGlyph",
-    "UnsupportedBase",
     "InsufficientLabels",
     "PreEpoch",
 ]

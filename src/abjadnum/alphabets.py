@@ -11,7 +11,7 @@ import os
 from collections import namedtuple
 from enum import Enum
 
-from .errors import NotAnAbjadiValue, OutOfAlphabetRange, UnknownLetter
+from .errors import NotAnAbjadiValue, OutOfAlphabetRange, UnknownLetter, int_text
 
 # The 28 letter values: units, tens, hundreds, then 1000.
 ABJADI_SEQUENCE = tuple(
@@ -74,11 +74,6 @@ for _table in _LETTERS.values():
             _BY_CODEPOINT[_cp] = _letter
 
 
-def abjadi_sequence() -> tuple[int, ...]:
-    """The fixed increasing sequence of the 28 letter values."""
-    return ABJADI_SEQUENCE
-
-
 def letters(alphabet: Alphabet) -> tuple[Letter, ...]:
     """All letters of one alphabet in letter-value order."""
     return _LETTERS[alphabet]
@@ -101,7 +96,7 @@ def letter_by_value(alphabet: Alphabet, value: int) -> Letter:
         pass
     # The tuple, not a set, so that an unhashable value is no letter value.
     if value not in ABJADI_SEQUENCE:
-        raise NotAnAbjadiValue(f"{value} is not a letter value")
+        raise NotAnAbjadiValue(f"{int_text(value)} is not a letter value")
     raise OutOfAlphabetRange(
         f"{value} exceeds the last {alphabet.value} letter value "
         f"({max_letter_value(alphabet)})"
@@ -122,9 +117,3 @@ def letter_for_codepoint(codepoint: str) -> Letter:
     if letter is None:
         raise UnknownLetter(f"{codepoint!r} is not a letter of either alphabet")
     return letter
-
-
-def value_of_letter(codepoint: str) -> tuple[Alphabet, int]:
-    """Owning alphabet and value of a letter codepoint (variants included)."""
-    letter = letter_for_codepoint(codepoint)
-    return letter.alphabet, letter.value

@@ -7,7 +7,7 @@ The arithmetic is exact integer arithmetic, rounding halves to even, so
 any size of year converts.
 """
 
-from .errors import PreEpoch
+from .errors import PreEpoch, check_int, int_text
 
 # Lunar-to-solar year length ratio (0.970224) and the epoch offset in
 # Gregorian years (621.5774), both in millionths.
@@ -15,11 +15,6 @@ YEAR_RATIO_MILLIONTHS = 970_224
 EPOCH_OFFSET_MILLIONTHS = 621_577_400
 
 HIJRI_EPOCH_CE = 622
-
-
-def _check_int(name: str, year) -> None:
-    if isinstance(year, bool) or not isinstance(year, int):
-        raise ValueError(f"{name} must be an int, not {type(year).__name__}")
 
 
 def _round_div(num: int, den: int) -> int:
@@ -32,7 +27,7 @@ def _round_div(num: int, den: int) -> int:
 
 def hijri_to_gregorian_year(h: int) -> int:
     """Approximate Gregorian year of Hijri year h (may be off by one)."""
-    _check_int("h", h)
+    check_int("h", h)
     if h < 1:
         raise ValueError("Hijri years start at 1")
     return _round_div(YEAR_RATIO_MILLIONTHS * h + EPOCH_OFFSET_MILLIONTHS, 10**6)
@@ -40,8 +35,8 @@ def hijri_to_gregorian_year(h: int) -> int:
 
 def gregorian_to_hijri_year(g: int) -> int:
     """Approximate Hijri year of Gregorian year g (may be off by one)."""
-    _check_int("g", g)
+    check_int("g", g)
     if g < HIJRI_EPOCH_CE:
-        raise PreEpoch(f"{g} CE precedes the first Hijri year ({HIJRI_EPOCH_CE} CE)")
+        raise PreEpoch(f"{int_text(g)} CE precedes the first Hijri year ({HIJRI_EPOCH_CE} CE)")
     # 622 CE itself rounds to 0; Hijri years start at 1.
     return max(1, _round_div(g * 10**6 - EPOCH_OFFSET_MILLIONTHS, YEAR_RATIO_MILLIONTHS))

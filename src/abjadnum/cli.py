@@ -9,9 +9,10 @@ when it is absent.
 import argparse
 import json
 import sys
+from enum import Enum
 
 from . import chronology, codec, digits, reading
-from .alphabets import Alphabet
+from .alphabets import Alphabet, Letter
 from .digits import DigitScript
 from .errors import NumeralError
 
@@ -48,110 +49,64 @@ def _decimal(n: int) -> str:
         ) from None
 
 
-def _letter_dict(letter) -> dict:
-    return {"codepoint": letter.codepoint, "name": letter.name, "value": letter.value}
+def _plain(result):
+    """A result as JSON-ready values: records become dicts, tuples lists."""
+    if isinstance(result, Letter):
+        return {"codepoint": result.codepoint, "name": result.name, "value": result.value}
+    if hasattr(result, "_asdict"):
+        result = result._asdict()
+    if isinstance(result, dict):
+        return {key: _plain(value) for key, value in result.items()}
+    if isinstance(result, tuple):
+        return [_plain(item) for item in result]
+    if isinstance(result, Enum):
+        return result.value
+    return result
 
 
-def _cmd_encode(args) -> tuple[str, dict]:
-    numeral = codec.encode(_int_input(args.value), Alphabet(args.alphabet))
-    payload = {
-        "alphabet": numeral.alphabet.value,
-        "value": numeral.value,
-        "text": numeral.text,
-        "letters": [_letter_dict(letter) for letter in numeral.letters],
-    }
-    return numeral.text, payload
-
-
-def _cmd_decode(args) -> tuple[str, dict]:
-    word = _text_input(args.value)
-    value = codec.decode(word, Alphabet(args.alphabet), strict=args.strict)
-    payload = {
-        "alphabet": args.alphabet,
-        "word": word,
-        "strict": args.strict,
-        "value": value,
-    }
-    return str(value), payload
-
-
-def _cmd_gematria(args) -> tuple[str, dict]:
-    phrase = _text_input(args.value)
-    result = codec.gematria(phrase, Alphabet(args.alphabet))
-    payload = {
-        "alphabet": args.alphabet,
-        "total": result.total,
-        "per_word": [{"word": w, "value": v} for w, v in result.per_word],
-    }
-    return str(result.total), payload
-
-
-def _cmd_translit(args) -> tuple[str, dict]:
-    text = _text_input(args.value)
-    out = digits.transliterate(text, DigitScript(args.src), DigitScript(args.dst))
-    payload = {"from": args.src, "to": args.dst, "input": text, "output": out}
-    return out, payload
-
-
-def _cmd_read(args) -> tuple[str, dict]:
-    n = _int_input(args.value)
-    labels = tuple(args.labels.split(",")) if args.labels else reading.DEFAULT_LABELS
-    decomposed = reading.decompose(n)
-    text = reading.format_reading(
-        decomposed, args.direction, labels=labels, figure_exact=args.figure_exact
-    )
-    payload = {
-        "value": n,
-        "direction": args.direction,
-        "text": text,
-        "groups": [
-            {
-                "index": group.index,
-                "value": group.value,
-                "components": [{"rank": c.rank, "value": c.value} for c in group.components],
-            }
-            for group in decomposed.groups
-        ],
-    }
-    return text, payload
-
-
-def _cmd_provenance(args) -> tuple[str, dict]:
-    entry = digits.digit_provenance(_int_input(args.value), DigitScript(args.script))
-    text = (
-        f"{entry.alphabet.value} {entry.letter.name} {entry.letter.codepoint}: "
-        f"{entry.note}"
-    )
-    payload = {
-        "script": entry.script.value,
-        "digit": entry.digit,
-        "alphabet": entry.alphabet.value,
-        "letter": _letter_dict(entry.letter),
-        "note": entry.note,
-    }
-    return text, payload
-
-
-def _cmd_hijri(args) -> tuple[str, dict]:
-    year = _int_input(args.value)
-    if args.reverse:
-        out = chronology.gregorian_to_hijri_year(year)
-        direction = "ce-to-ah"
+def _run(args) -> tuple[str, dict]:
+    """The text line and the JSON payload of one subcommand."""
+    command = args.command
+    if command in ("decode", "gematria", "translit"):
+        given = _text_input(args.value)
     else:
-        out = chronology.hijri_to_gregorian_year(year)
-        direction = "ah-to-ce"
-    return _decimal(out), {"input": year, "output": out, "direction": direction}
-
-
-_COMMANDS = {
-    "encode": _cmd_encode,
-    "decode": _cmd_decode,
-    "gematria": _cmd_gematria,
-    "translit": _cmd_translit,
-    "read": _cmd_read,
-    "provenance": _cmd_provenance,
-    "hijri": _cmd_hijri,
-}
+        given = _int_input(args.value)
+    if command == "encode":
+        numeral = codec.encode(given, Alphabet(args.alphabet))
+        return numeral.text, {"alphabet": numeral.alphabet, "value": numeral.value,
+                              "text": numeral.text, "letters": numeral.letters}
+    if command == "decode":
+        value = codec.decode(given, Alphabet(args.alphabet), strict=args.strict)
+        return str(value), {"alphabet": args.alphabet, "word": given,
+                            "strict": args.strict, "value": value}
+    if command == "gematria":
+        result = codec.gematria(given, Alphabet(args.alphabet))
+        per_word = [{"word": word, "value": value} for word, value in result.per_word]
+        return str(result.total), {"alphabet": args.alphabet, "total": result.total,
+                                   "per_word": per_word}
+    if command == "translit":
+        out = digits.transliterate(given, DigitScript(args.src), DigitScript(args.dst))
+        return out, {"from": args.src, "to": args.dst, "input": given, "output": out}
+    if command == "read":
+        labels = tuple(args.labels.split(",")) if args.labels else reading.DEFAULT_LABELS
+        decomposed = reading.decompose(given)
+        text = reading.format_reading(
+            decomposed, args.direction, labels=labels, figure_exact=args.figure_exact
+        )
+        return text, {"value": given, "direction": args.direction, "text": text,
+                      "groups": decomposed.groups}
+    if command == "provenance":
+        entry = digits.digit_provenance(given, DigitScript(args.script))
+        text = (
+            f"{entry.alphabet.value} {entry.letter.name} {entry.letter.codepoint}: "
+            f"{entry.note}"
+        )
+        return text, {"script": entry.script, **entry._asdict()}
+    if args.reverse:
+        out, direction = chronology.gregorian_to_hijri_year(given), "ce-to-ah"
+    else:
+        out, direction = chronology.hijri_to_gregorian_year(given), "ah-to-ce"
+    return _decimal(out), {"input": given, "output": out, "direction": direction}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,31 +116,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help_text):
+    def command(name, help_text, value_help, alphabet=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="emit one JSON object")
+        if alphabet:
+            p.add_argument("--alphabet", choices=_ALPHABETS, required=True)
+        p.add_argument("value", nargs="?", help=f"{value_help} (stdin if absent)")
         return p
 
-    p = command("encode", "encode an integer as a letter-word")
-    p.add_argument("--alphabet", choices=_ALPHABETS, required=True)
-    p.add_argument("value", nargs="?", help="number to encode (stdin if absent)")
+    command("encode", "encode an integer as a letter-word", "number to encode", alphabet=True)
 
-    p = command("decode", "decode a letter-word to an integer")
-    p.add_argument("--alphabet", choices=_ALPHABETS, required=True)
+    p = command("decode", "decode a letter-word to an integer", "word to decode", alphabet=True)
     p.add_argument("--strict", action="store_true",
                    help="require a canonical numeral word")
-    p.add_argument("value", nargs="?", help="word to decode (stdin if absent)")
 
-    p = command("gematria", "sum the letter values of a phrase")
-    p.add_argument("--alphabet", choices=_ALPHABETS, required=True)
-    p.add_argument("value", nargs="?", help="phrase (stdin if absent)")
+    command("gematria", "sum the letter values of a phrase", "phrase", alphabet=True)
 
-    p = command("translit", "transliterate digits between scripts")
+    p = command("translit", "transliterate digits between scripts", "digit string")
     p.add_argument("--from", dest="src", choices=_SCRIPTS, required=True)
     p.add_argument("--to", dest="dst", choices=_SCRIPTS, required=True)
-    p.add_argument("value", nargs="?", help="digit string (stdin if absent)")
 
-    p = command("read", "narrate a number by 3-digit groups")
+    p = command("read", "narrate a number by 3-digit groups", "number to read")
     p.add_argument("--direction", choices=[reading.RIGHT_TO_LEFT, reading.LEFT_TO_RIGHT],
                    default=reading.RIGHT_TO_LEFT)
     p.add_argument("--labels",
@@ -193,15 +144,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "(usually empty) units label, e.g. ',mille,millions'")
     p.add_argument("--figure-exact", action="store_true",
                    help="join everything with 'et' instead of group separators")
-    p.add_argument("value", nargs="?", help="number to read (stdin if absent)")
 
-    p = command("provenance", "show the source letter behind a digit glyph")
+    p = command("provenance", "show the source letter behind a digit glyph", "digit 0..9")
     p.add_argument("--script", choices=_SCRIPTS, required=True)
-    p.add_argument("value", nargs="?", help="digit 0..9 (stdin if absent)")
 
-    p = command("hijri", "convert a Hijri year to Gregorian (or back)")
+    p = command("hijri", "convert a Hijri year to Gregorian (or back)", "year")
     p.add_argument("--reverse", action="store_true", help="convert Gregorian to Hijri")
-    p.add_argument("value", nargs="?", help="year (stdin if absent)")
 
     return parser
 
@@ -216,14 +164,14 @@ def main(argv=None) -> int:
     _utf8_streams()
     args = build_parser().parse_args(argv)
     try:
-        text, payload = _COMMANDS[args.command](args)
+        text, payload = _run(args)
     except NumeralError as err:
         print(f"ERROR {err.code}: {err}", file=sys.stderr)
         return 1
     except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
-    print(json.dumps(payload, ensure_ascii=False) if args.json else text)
+    print(json.dumps(_plain(payload), ensure_ascii=False) if args.json else text)
     return 0
 
 

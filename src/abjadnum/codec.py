@@ -36,7 +36,7 @@ from .alphabets import (
     letter_for_codepoint,
     letters,
 )
-from .errors import NonCanonical, OutOfRange, UnknownLetter, ZeroUnencodable
+from .errors import NonCanonical, OutOfRange, UnknownLetter, ZeroUnencodable, check_int, int_text
 
 MAX_ENCODABLE = {Alphabet.ARABIC: 1999, Alphabet.HEBREW: 499}
 
@@ -99,13 +99,12 @@ def encode(n: int, alphabet: Alphabet) -> AbjadNumeral:
     h the letter of value 100h, and for Arabic a thousands part the letter
     of value 1000.  Letters come out in ascending value order.
     """
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"n must be an int, not {type(n).__name__}")
+    check_int("n", n)
     if n == 0:
         raise ZeroUnencodable("zero is not a letter value and has no word form")
     limit = MAX_ENCODABLE[alphabet]
     if not 1 <= n <= limit:
-        raise OutOfRange(f"{n} is outside 1..{limit} for {alphabet.value}")
+        raise OutOfRange(f"{int_text(n)} is outside 1..{limit} for {alphabet.value}")
     units, tens, hundreds, thousands = _RANK_LETTERS[alphabet]
     picked = units[n % 10] + tens[n // 10 % 10] + hundreds[n // 100 % 10] + thousands[n // 1000]
     return tuple.__new__(AbjadNumeral, (alphabet, picked, n))

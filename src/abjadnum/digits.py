@@ -25,7 +25,7 @@ from collections import namedtuple
 from enum import Enum
 
 from .alphabets import Alphabet, letter_by_name
-from .errors import InvalidGlyph, UnsupportedBase
+from .errors import InvalidGlyph, check_int
 
 
 class DigitScript(Enum):
@@ -53,9 +53,6 @@ _NOT_DIGITS = {script: str.maketrans("", "", glyphs) for script, glyphs in _GLYP
 _NOT_DIGITS_OR_SEPARATORS = {
     script: str.maketrans("", "", glyphs + SEPARATORS) for script, glyphs in _GLYPHS.items()
 }
-
-_BASE16_GLYPHS = "0123456789ABCDEF"
-
 
 class DigitProvenance(namedtuple("DigitProvenance", "digit script alphabet letter note")):
     """The source letter and reshaping behind one digit glyph."""
@@ -86,8 +83,7 @@ _PROVENANCE = _load_provenance()
 
 def render_digits(n: int, script: DigitScript) -> str:
     """Decimal digit string of n in the script's glyphs, big-endian."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"n must be an int, not {type(n).__name__}")
+    check_int("n", n)
     if n < 0:
         raise ValueError("n must be non-negative")
     try:
@@ -139,13 +135,7 @@ def transliterate(text: str, src: DigitScript, dst: DigitScript) -> str:
 
 def digit_provenance(digit: int, script: DigitScript) -> DigitProvenance:
     """Source letter and transformation note of one digit glyph."""
+    check_int("digit", digit)
     if not 0 <= digit <= 9:
         raise ValueError("digit must be 0..9")
     return _PROVENANCE[(script, digit)]
-
-
-def base_digit_set(base: int) -> list[str]:
-    """The first `base` glyphs of the canonical base-16 digit list."""
-    if not 2 <= base <= 16:
-        raise UnsupportedBase(f"base {base} is outside 2..16")
-    return list(_BASE16_GLYPHS[:base])

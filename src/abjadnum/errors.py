@@ -6,6 +6,23 @@ printed by the CLI as ``ERROR <code>: <detail>``.  Violated call
 preconditions (empty input, negative counts) raise plain ``ValueError``.
 """
 
+import sys
+
+
+def check_int(name: str, value) -> None:
+    """Raise ValueError naming `name` unless `value` is an int (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, not {type(value).__name__}")
+
+
+def int_text(n: int) -> str:
+    """n in decimal for a message, or its size when it has too many digits to print."""
+    try:
+        return f"{n}"
+    except ValueError:  # past the interpreter's int-to-str digit limit
+        sign = "negative " if n < 0 else ""
+        return f"a {sign}number of more than {sys.get_int_max_str_digits()} digits"
+
 
 class NumeralError(ValueError):
     """Base class for all domain errors."""
@@ -41,10 +58,6 @@ class NonCanonical(NumeralError):
 
 class InvalidGlyph(NumeralError):
     """A codepoint is outside the digit script's glyph set."""
-
-
-class UnsupportedBase(NumeralError):
-    """Only bases 2 through 16 have a defined digit set."""
 
 
 class InsufficientLabels(NumeralError):

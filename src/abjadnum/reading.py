@@ -8,7 +8,7 @@ values from the top: "12 millions 457 mille 892".
 
 from collections import namedtuple
 
-from .errors import InsufficientLabels
+from .errors import InsufficientLabels, check_int
 
 RANKS = ("units", "tens", "hundreds")
 
@@ -50,8 +50,7 @@ def _components(group_value: int) -> tuple[RankComponent, ...]:
 
 def decompose(n: int) -> NumberReading:
     """Base-1000 groups of n, least significant first, zero parts omitted."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"n must be an int, not {type(n).__name__}")
+    check_int("n", n)
     if n < 0:
         raise ValueError("n must be non-negative")
     groups = []

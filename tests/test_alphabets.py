@@ -1,15 +1,15 @@
 import pytest
 
 from abjadnum import (
+    ABJADI_SEQUENCE,
     Alphabet,
     NotAnAbjadiValue,
     OutOfAlphabetRange,
     UnknownLetter,
-    abjadi_sequence,
     letter_by_value,
+    letter_for_codepoint,
     letters,
     max_letter_value,
-    value_of_letter,
 )
 from abjadnum.alphabets import letter_by_name
 
@@ -23,10 +23,10 @@ EXPECTED_SEQUENCE = (
 
 class TestSequence:
     def test_exact_members(self):
-        assert abjadi_sequence() == EXPECTED_SEQUENCE
+        assert ABJADI_SEQUENCE == EXPECTED_SEQUENCE
 
     def test_shape(self):
-        seq = abjadi_sequence()
+        seq = ABJADI_SEQUENCE
         assert len(seq) == 28
         assert seq[0] == 1 and seq[-1] == 1000
         assert seq[9] == 10  # tenth value
@@ -53,7 +53,7 @@ class TestTables:
     @pytest.mark.parametrize("alphabet", list(Alphabet))
     def test_values_are_sequence_members(self, alphabet):
         for letter in letters(alphabet):
-            assert letter.value in abjadi_sequence()
+            assert letter.value in ABJADI_SEQUENCE
 
     @pytest.mark.parametrize("alphabet", list(Alphabet))
     def test_no_codepoint_registered_twice(self, alphabet):
@@ -92,9 +92,14 @@ class TestLookups:
             letter_by_value(Alphabet.HEBREW, 1000)
 
     def test_value_of_letter(self):
-        assert value_of_letter("ح") == (Alphabet.ARABIC, 8)
-        assert value_of_letter("ם") == (Alphabet.HEBREW, 40)  # final Mem
-        assert value_of_letter("ة") == (Alphabet.ARABIC, 5)  # Taa marbuta
+        cases = [
+            ("ح", Alphabet.ARABIC, 8),
+            ("ם", Alphabet.HEBREW, 40),  # final Mem
+            ("ة", Alphabet.ARABIC, 5),  # Taa marbuta
+        ]
+        for cp, alphabet, value in cases:
+            letter = letter_for_codepoint(cp)
+            assert (letter.alphabet, letter.value) == (alphabet, value)
 
     def test_letter_by_name(self):
         assert letter_by_name(Alphabet.HEBREW, "Vav").value == 6
@@ -108,25 +113,27 @@ class TestLookups:
     def test_value_of_letter_rejects_unknown(self):
         for cp in ("X", "1", "؟"):
             with pytest.raises(UnknownLetter):
-                value_of_letter(cp)
+                letter_for_codepoint(cp)
 
     @pytest.mark.parametrize("alphabet", list(Alphabet))
     def test_codepoint_value_round_trip(self, alphabet):
         # every registered codepoint resolves back to the letter that owns it
         for letter in letters(alphabet):
             for cp in letter.codepoints:
-                owner, value = value_of_letter(cp)
-                assert owner is alphabet
-                resolved = letter_by_value(owner, value)
+                owner = letter_for_codepoint(cp)
+                assert owner.alphabet is alphabet
+                resolved = letter_by_value(owner.alphabet, owner.value)
                 assert cp in resolved.codepoints
 
     @pytest.mark.parametrize("alphabet", list(Alphabet))
     def test_final_and_variant_forms_share_the_value(self, alphabet):
         for letter in letters(alphabet):
             for cp in letter.variants:
-                assert value_of_letter(cp) == (alphabet, letter.value)
+                resolved = letter_for_codepoint(cp)
+                assert (resolved.alphabet, resolved.value) == (alphabet, letter.value)
 
     def test_hebrew_final_forms(self):
         finals = {"ך": 20, "ם": 40, "ן": 50, "ף": 80, "ץ": 90}
         for cp, value in finals.items():
-            assert value_of_letter(cp) == (Alphabet.HEBREW, value)
+            letter = letter_for_codepoint(cp)
+            assert (letter.alphabet, letter.value) == (Alphabet.HEBREW, value)

@@ -11,8 +11,6 @@ from abjadnum import (
     DigitScript,
     SEPARATORS,
     InvalidGlyph,
-    UnsupportedBase,
-    base_digit_set,
     digit_provenance,
     parse_digits,
     render_digits,
@@ -61,10 +59,12 @@ class TestRenderParse:
             render_digits(10**5000, W)
         assert "set_int_max_str_digits" not in str(exc.value)
 
-    @pytest.mark.parametrize("n", [True, False, 12.0, "12", None])
+    @pytest.mark.parametrize("n", [True, False, 12.0, "12", None, 3.0, "3"])
     def test_non_int_is_a_usage_error(self, n):
         with pytest.raises(ValueError, match=r"^n must be an int, not "):
             render_digits(n, W)
+        with pytest.raises(ValueError, match=r"^digit must be an int, not "):
+            digit_provenance(n, W)
 
     def test_int_subclass_renders_its_digits(self):
         class Labelled(int):
@@ -182,27 +182,6 @@ class TestProvenance:
             digit_provenance(10, W)
         with pytest.raises(ValueError):
             digit_provenance(-1, M)
-
-
-class TestBaseDigitSet:
-    def test_base_sixteen(self):
-        assert base_digit_set(16) == list("0123456789ABCDEF")
-
-    def test_base_ten(self):
-        assert base_digit_set(10) == list("0123456789")
-
-    def test_base_two(self):
-        assert base_digit_set(2) == ["0", "1"]
-
-    def test_prefix_property(self):
-        full = base_digit_set(16)
-        for base in range(2, 17):
-            assert base_digit_set(base) == full[:base]
-
-    @pytest.mark.parametrize("base", [1, 0, -2, 17, 36])
-    def test_unsupported_bases(self, base):
-        with pytest.raises(UnsupportedBase):
-            base_digit_set(base)
 
 
 @pytest.mark.parametrize("text", [123, ["1", "2"], b"12", None])
