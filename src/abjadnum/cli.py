@@ -33,6 +33,14 @@ def _int_input(given: str | None) -> int:
     try:
         return int(text)
     except ValueError:
+        body = text.strip()
+        if body[:1] in ("+", "-"):
+            body = body[1:]
+        if body.isdecimal():  # a well-formed integer, past the digit limit
+            raise ValueError(
+                f"the input has more than {sys.get_int_max_str_digits()} decimal digits, "
+                "the most that can be read"
+            ) from None
         shown = repr(text[:_ECHO_CHARS])
         if len(text) > _ECHO_CHARS:
             shown += f"... ({len(text)} characters)"

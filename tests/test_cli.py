@@ -212,8 +212,14 @@ class TestUsageErrors:
         code, out, err = run_cli(capsys, "hijri", "--reverse", year)
         assert (code, out) == (2, "")
         assert err == (
+            f"usage error: the input has more than {sys.get_int_max_str_digits()} "
+            "decimal digits, the most that can be read\n"
+        )
+        code, out, err = run_cli(capsys, "hijri", "--reverse", year + "x")
+        assert (code, out) == (2, "")
+        assert err == (
             f"usage error: expected an integer, got '{'9' * 40}'... "
-            f"({len(year)} characters)\n"
+            f"({len(year) + 1} characters)\n"
         )
         code, _, err = run_cli(capsys, "read", "12x")
         assert (code, err) == (2, "usage error: expected an integer, got '12x'\n")
