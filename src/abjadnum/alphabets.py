@@ -90,17 +90,18 @@ def letter_by_value(alphabet: Alphabet, value: int) -> Letter:
     OutOfAlphabetRange if the value exists but is past this alphabet's last
     letter (Hebrew stops at 400).
     """
-    try:
-        return _BY_VALUE[alphabet][value]
-    except (KeyError, TypeError):  # TypeError: an unhashable value
-        pass
-    # The tuple, not a set, so that an unhashable value is no letter value.
-    if value not in ABJADI_SEQUENCE:
-        raise NotAnAbjadiValue(f"{int_text(value)} is not a letter value")
-    raise OutOfAlphabetRange(
-        f"{value} exceeds the last {alphabet.value} letter value "
-        f"({max_letter_value(alphabet)})"
-    )
+    # Checked first because True and 1.0 hash like 1 and would find Alif.
+    if isinstance(value, int) and not isinstance(value, bool):
+        try:
+            return _BY_VALUE[alphabet][value]
+        except (KeyError, TypeError):  # TypeError: an unhashable alphabet
+            pass
+        if value in ABJADI_SEQUENCE:
+            raise OutOfAlphabetRange(
+                f"{value} exceeds the last {alphabet.value} letter value "
+                f"({max_letter_value(alphabet)})"
+            )
+    raise NotAnAbjadiValue(f"{int_text(value)} is not a letter value")
 
 
 def letter_by_name(alphabet: Alphabet, name: str) -> Letter:

@@ -16,14 +16,13 @@ UnknownLetter: "not a letter of either alphabet" when no alphabet has it,
 "not a <alphabet> letter" when only the other one does.  Zero-width
 joiners and other format characters are not skipped.
 
-Each alphabet has one table, built at import, that maps its letter
-codepoints to their values and the tatweel and the combining marks of the
-Arabic, Hebrew and Combining Diacritical Marks blocks to 0.  A word is
-summed through that table.  A character the table lacks (whitespace inside
-a word, a mark from another block, an ``ignore`` entry, anything unknown)
-sends the whole word through ``_letter_values``, which applies the rule
-above one character at a time.  The table is built with the same rule, so
-it changes no result and no error, only the time taken.
+Each alphabet has one table, built at import from its letter codepoints.
+A character the table lacks goes through the table's ``__missing__``,
+the one place the rule above is applied: a skipped character is stored
+as 0, so each is classified once, and anything else raises UnknownLetter
+and is never stored.  In gematria a per-call copy of the table holds the
+``ignore`` characters as 0, so they override letters and never reach the
+shared table.
 """
 
 import unicodedata
@@ -36,7 +35,8 @@ from .alphabets import (
     letter_for_codepoint,
     letters,
 )
-from .errors import NonCanonical, OutOfRange, UnknownLetter, ZeroUnencodable, check_int, int_text
+from .errors import NonCanonical, OutOfRange, UnknownLetter, ZeroUnencodable
+from .errors import check_int, check_text, int_text, wrong_type
 
 MAX_ENCODABLE = {Alphabet.ARABIC: 1999, Alphabet.HEBREW: 499}
 
@@ -45,18 +45,6 @@ _TATWEEL = "ـ"
 
 # Rank band of each letter value: 0 units, 1 tens, 2 hundreds, 3 thousands.
 _BAND = {value: len(str(value)) - 1 for value in ABJADI_SEQUENCE}
-
-# The stretches of the Combining Diacritical Marks, Hebrew and Arabic blocks
-# that hold skippable characters; scanning only these keeps import cheap.
-_MARK_RANGES = (
-    (0x0300, 0x036F),
-    (0x0591, 0x05C7),
-    (0x0610, 0x061A),
-    (0x0640, 0x0640),
-    (0x064B, 0x065F),
-    (0x0670, 0x0670),
-    (0x06D6, 0x06ED),
-)
 
 
 class AbjadNumeral(namedtuple("AbjadNumeral", "alphabet letters value")):
@@ -102,7 +90,10 @@ def encode(n: int, alphabet: Alphabet) -> AbjadNumeral:
     check_int("n", n)
     if n == 0:
         raise ZeroUnencodable("zero is not a letter value and has no word form")
-    limit = MAX_ENCODABLE[alphabet]
+    try:
+        limit = MAX_ENCODABLE[alphabet]
+    except (KeyError, TypeError):  # TypeError: an unhashable alphabet
+        raise wrong_type("alphabet", "an Alphabet", alphabet) from None
     if not 1 <= n <= limit:
         raise OutOfRange(f"{int_text(n)} is outside 1..{limit} for {alphabet.value}")
     units, tens, hundreds, thousands = _RANK_LETTERS[alphabet]
@@ -110,40 +101,27 @@ def encode(n: int, alphabet: Alphabet) -> AbjadNumeral:
     return tuple.__new__(AbjadNumeral, (alphabet, picked, n))
 
 
-def _skipped(ch: str, ignore: str = "") -> bool:
-    return (
-        ch in ignore
-        or ch.isspace()
-        or ch == _TATWEEL
-        or unicodedata.combining(ch) != 0
-    )
+class _Values(dict):
+    """Codepoint -> value of one alphabet; a miss applies the skip rule."""
+
+    __slots__ = ("alphabet",)
+
+    def __init__(self, alphabet: Alphabet, values: dict[str, int]):
+        super().__init__(values)
+        self.alphabet = alphabet
+
+    def __missing__(self, ch: str) -> int:
+        if ch.isspace() or ch == _TATWEEL or unicodedata.combining(ch):
+            self[ch] = 0
+            return 0
+        letter_for_codepoint(ch)  # raises unless the other alphabet has it
+        raise UnknownLetter(f"{ch!r} is not a {self.alphabet.value} letter")
 
 
-def _letter_values(text: str, alphabet: Alphabet, ignore: str = "") -> list[int]:
-    """Values of the letters of `text` in order, by the skip rule above."""
-    values = []
-    for ch in text:
-        if _skipped(ch, ignore):
-            continue
-        letter = letter_for_codepoint(ch)
-        if letter.alphabet is not alphabet:
-            raise UnknownLetter(f"{ch!r} is not a {alphabet.value} letter")
-        values.append(letter.value)
-    return values
-
-
-_SKIPPED_MARKS = {
-    chr(cp): 0
-    for lo, hi in _MARK_RANGES
-    for cp in range(lo, hi + 1)
-    if _skipped(chr(cp))
-}
-# Codepoint -> value, 0 for a skipped mark; see the module docstring.
 _VALUES = {
-    alphabet: {
-        **{cp: letter.value for letter in letters(alphabet) for cp in letter.codepoints},
-        **_SKIPPED_MARKS,
-    }
+    alphabet: _Values(
+        alphabet, {cp: letter.value for letter in letters(alphabet) for cp in letter.codepoints}
+    )
     for alphabet in Alphabet
 }
 
@@ -155,10 +133,12 @@ def decode(word: str, alphabet: Alphabet, strict: bool = False) -> int:
     mode additionally requires a canonical numeral: strictly ascending
     values, at most one letter per rank band.
     """
+    check_text("word", word)
     try:
-        values = list(filter(None, map(_VALUES[alphabet].__getitem__, word)))
-    except KeyError:
-        values = _letter_values(word, alphabet)
+        table = _VALUES[alphabet]
+    except (KeyError, TypeError):  # TypeError: an unhashable alphabet
+        raise wrong_type("alphabet", "an Alphabet", alphabet) from None
+    values = list(filter(None, map(table.__getitem__, word)))
     if not values:
         raise ValueError("empty word")
     # Strictly ascending bands means ascending values, one letter per band.
@@ -177,18 +157,14 @@ def gematria(phrase: str, alphabet: Alphabet, ignore: str = "") -> GematriaResul
     Codepoints listed in `ignore` (punctuation, typically) are skipped;
     anything else unmapped raises UnknownLetter.
     """
-    table = _VALUES[alphabet]
-    if ignore and not table.keys().isdisjoint(ignore):
-        # An ignored letter must miss the table to reach the skip rule.
-        table = {cp: value for cp, value in table.items() if cp not in ignore}
+    check_text("phrase", phrase)
+    try:
+        table = _VALUES[alphabet]
+    except (KeyError, TypeError):  # TypeError: an unhashable alphabet
+        raise wrong_type("alphabet", "an Alphabet", alphabet) from None
+    if ignore:
+        table = _Values(alphabet, table)
+        table.update(dict.fromkeys(ignore, 0))
     value_of = table.__getitem__
-    per_word = []
-    for token in phrase.split():
-        try:
-            value = sum(map(value_of, token))
-        except KeyError:
-            value = sum(_letter_values(token, alphabet, ignore))
-        per_word.append((token, value))
-    return GematriaResult(
-        total=sum(value for _, value in per_word), per_word=tuple(per_word)
-    )
+    per_word = tuple([(token, sum(map(value_of, token))) for token in phrase.split()])
+    return GematriaResult(total=sum([value for _, value in per_word]), per_word=per_word)

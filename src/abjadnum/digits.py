@@ -25,7 +25,7 @@ from collections import namedtuple
 from enum import Enum
 
 from .alphabets import Alphabet, letter_by_name
-from .errors import InvalidGlyph, check_int
+from .errors import InvalidGlyph, check_int, check_text
 
 
 class DigitScript(Enum):
@@ -96,14 +96,9 @@ def render_digits(n: int, script: DigitScript) -> str:
     return decimal.translate(_TRANSLATE[DigitScript.WESTERN][script])
 
 
-def _check_text(text) -> None:
-    if not isinstance(text, str):
-        raise ValueError(f"text must be a str, not {type(text).__name__}")
-
-
 def parse_digits(text: str, script: DigitScript) -> int:
     """Inverse of render_digits; InvalidGlyph outside the script's glyph set."""
-    _check_text(text)
+    check_text("text", text)
     if not text:
         raise ValueError("empty digit string")
     rest = text.translate(_NOT_DIGITS[script])
@@ -125,7 +120,7 @@ def transliterate(text: str, src: DigitScript, dst: DigitScript) -> str:
     Digit count and positions are preserved; the separators " .,-/" pass
     through unchanged (dates, folio labels).
     """
-    _check_text(text)
+    check_text("text", text)
     table = _TRANSLATE[src][dst]
     rest = text.translate(_NOT_DIGITS_OR_SEPARATORS[src])
     if rest:

@@ -9,10 +9,21 @@ preconditions (empty input, negative counts) raise plain ``ValueError``.
 import sys
 
 
+def wrong_type(name: str, kind: str, value) -> ValueError:
+    """The error for an argument `name` that should be `kind` but is `value`."""
+    return ValueError(f"{name} must be {kind}, not {type(value).__name__}")
+
+
 def check_int(name: str, value) -> None:
     """Raise ValueError naming `name` unless `value` is an int (a bool is not)."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an int, not {type(value).__name__}")
+        raise wrong_type(name, "an int", value)
+
+
+def check_text(name: str, value) -> None:
+    """Raise ValueError naming `name` unless `value` is a str."""
+    if not isinstance(value, str):
+        raise wrong_type(name, "a str", value)
 
 
 def int_text(n: int) -> str:

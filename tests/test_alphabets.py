@@ -84,6 +84,10 @@ class TestLookups:
             letter_by_value(Alphabet.HEBREW, 450)
         with pytest.raises(NotAnAbjadiValue):
             letter_by_value(Alphabet.ARABIC, [40])  # unhashable
+        with pytest.raises(NotAnAbjadiValue):
+            letter_by_value(Alphabet.ARABIC, True)  # hashes like 1
+        with pytest.raises(NotAnAbjadiValue):
+            letter_by_value(Alphabet.ARABIC, 1.0)
 
     def test_letter_by_value_respects_alphabet_maximum(self):
         with pytest.raises(OutOfAlphabetRange):

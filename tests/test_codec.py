@@ -30,6 +30,7 @@ from abjadnum import (
     gematria,
     letters,
 )
+from abjadnum import codec
 
 
 _RANK_BANDS = ((1, 9), (10, 90), (100, 900), (1000, 1000))
@@ -211,6 +212,48 @@ class TestGematria:
 
     def test_hebrew_with_niqqud(self):
         assert gematria("אֲשֶׁר", Alphabet.HEBREW).total == 501
+
+
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (decode, (123, Alphabet.ARABIC), "word must be a str, not int"),
+        (decode, (["\u0627", "\u0628"], Alphabet.ARABIC), "word must be a str, not list"),
+        (gematria, (None, Alphabet.ARABIC), "phrase must be a str, not NoneType"),
+        (gematria, (b"abc", Alphabet.HEBREW), "phrase must be a str, not bytes"),
+        (encode, (5, "arabic"), "alphabet must be an Alphabet, not str"),
+        (decode, ("\u0627", "arabic"), "alphabet must be an Alphabet, not str"),
+        (gematria, ("\u0627", "arabic"), "alphabet must be an Alphabet, not str"),
+        (decode, ("\u0627", ["arabic"]), "alphabet must be an Alphabet, not list"),
+    ],
+)
+def test_wrong_argument_type_is_a_usage_error(call, args, message):
+    with pytest.raises(ValueError) as raised:
+        call(*args)
+    assert str(raised.value) == message
+    assert not isinstance(raised.value, NumeralError)
+
+
+def test_table_caches_skipped_characters_only():
+    arabic = codec._VALUES[Alphabet.ARABIC]
+    # An ignored character is skipped for that call only.
+    assert gematria("\u0627!", Alphabet.ARABIC, ignore="!").total == 1
+    with pytest.raises(UnknownLetter):
+        gematria("\u0627!", Alphabet.ARABIC)
+    # Ignore overrides a letter, and the letter keeps its value afterwards.
+    assert gematria("\u0627", Alphabet.ARABIC, ignore="\u0627").total == 0
+    assert decode("\u0627", Alphabet.ARABIC) == 1
+    # A combining mark outside the Arabic, Hebrew and Combining Diacritical
+    # Marks blocks, first met by decode, stays skipped in gematria.
+    assert decode("\u0628\u1ab0", Alphabet.ARABIC) == 2
+    assert arabic["\u1ab0"] == 0
+    assert gematria("\u1ab0\u0628 \u0627\u1ab0", Alphabet.ARABIC).total == 3
+    # Unknown characters raise and are never stored.
+    size = len(arabic)
+    for cp in range(0x4E00, 0x4E00 + 5000):
+        with pytest.raises(UnknownLetter):
+            decode(chr(cp), Alphabet.ARABIC)
+    assert len(arabic) == size
 
 
 _arabic_word = st.lists(
