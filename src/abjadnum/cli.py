@@ -14,47 +14,16 @@ from enum import Enum
 from . import chronology, codec, digits, reading
 from .alphabets import Alphabet, Letter
 from .digits import DigitScript
-from .errors import NumeralError
+from .errors import NumeralError, decimal
 
 _SCRIPTS = [script.value for script in DigitScript]
 _ALPHABETS = [alphabet.value for alphabet in Alphabet]
-# A rejected argument is echoed up to this many characters.
-_ECHO_CHARS = 40
 
 
 def _text_input(given: str | None) -> str:
     if given is not None:
         return given
     return sys.stdin.buffer.read().decode("utf-8").strip()
-
-
-def _int_input(given: str | None) -> int:
-    text = _text_input(given)
-    try:
-        return int(text)
-    except ValueError:
-        body = text.strip()
-        if body[:1] in ("+", "-"):
-            body = body[1:]
-        if body.isdecimal():  # a well-formed integer, past the digit limit
-            raise ValueError(
-                f"the input has more than {sys.get_int_max_str_digits()} decimal digits, "
-                "the most that can be read"
-            ) from None
-        shown = repr(text[:_ECHO_CHARS])
-        if len(text) > _ECHO_CHARS:
-            shown += f"... ({len(text)} characters)"
-        raise ValueError(f"expected an integer, got {shown}") from None
-
-
-def _decimal(n: int) -> str:
-    try:
-        return str(n)
-    except ValueError:  # past the interpreter's int-to-str digit limit
-        raise ValueError(
-            f"the result has more than {sys.get_int_max_str_digits()} decimal digits, "
-            "the most that can be printed"
-        ) from None
 
 
 def _plain(result):
@@ -75,10 +44,9 @@ def _plain(result):
 def _run(args) -> tuple[str, dict]:
     """The text line and the JSON payload of one subcommand."""
     command = args.command
-    if command in ("decode", "gematria", "translit"):
-        given = _text_input(args.value)
-    else:
-        given = _int_input(args.value)
+    given = _text_input(args.value)
+    if command not in ("decode", "gematria", "translit"):
+        given = digits.parse_digits(given, DigitScript.WESTERN)
     if command == "encode":
         numeral = codec.encode(given, Alphabet(args.alphabet))
         return numeral.text, {"alphabet": numeral.alphabet, "value": numeral.value,
@@ -114,7 +82,8 @@ def _run(args) -> tuple[str, dict]:
         out, direction = chronology.gregorian_to_hijri_year(given), "ce-to-ah"
     else:
         out, direction = chronology.hijri_to_gregorian_year(given), "ah-to-ce"
-    return _decimal(out), {"input": given, "output": out, "direction": direction}
+    text = decimal(out, "the result", "printed")
+    return text, {"input": given, "output": out, "direction": direction}
 
 
 def build_parser() -> argparse.ArgumentParser:

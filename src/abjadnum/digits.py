@@ -17,15 +17,18 @@ built at import, one per (source, target) script pair.  A text is first
 checked by deleting every character its script accepts (the ten glyphs,
 and for transliterate the separators): whatever is left starts with the
 first invalid glyph, which the InvalidGlyph message names.
+
+A number has at most as many digits as the interpreter converts between
+int and str (4300 unless raised with ``sys.set_int_max_str_digits``): past
+that limit, rendering and parsing both raise a ValueError that names it.
 """
 
 import os
-import sys
 from collections import namedtuple
 from enum import Enum
 
 from .alphabets import Alphabet, letter_by_name
-from .errors import InvalidGlyph, check_int, check_text
+from .errors import InvalidGlyph, check_int, check_text, decimal, digit_limit
 
 
 class DigitScript(Enum):
@@ -86,14 +89,7 @@ def render_digits(n: int, script: DigitScript) -> str:
     check_int("n", n)
     if n < 0:
         raise ValueError("n must be non-negative")
-    try:
-        decimal = int.__repr__(n)  # digits even where a subclass overrides __str__
-    except ValueError:  # past the interpreter's int-to-str digit limit
-        raise ValueError(
-            f"n has more than {sys.get_int_max_str_digits()} decimal digits, "
-            "the most that can be rendered"
-        ) from None
-    return decimal.translate(_TRANSLATE[DigitScript.WESTERN][script])
+    return decimal(n, "n", "rendered").translate(_TRANSLATE[DigitScript.WESTERN][script])
 
 
 def parse_digits(text: str, script: DigitScript) -> int:
@@ -108,10 +104,7 @@ def parse_digits(text: str, script: DigitScript) -> int:
     try:
         return int(western)
     except ValueError:  # past the interpreter's int-from-str digit limit
-        n = 0
-        for d in western:
-            n = n * 10 + ord(d) - 48
-        return n
+        raise digit_limit("text", "read") from None
 
 
 def transliterate(text: str, src: DigitScript, dst: DigitScript) -> str:

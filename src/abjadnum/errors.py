@@ -26,12 +26,30 @@ def check_text(name: str, value) -> None:
         raise wrong_type(name, "a str", value)
 
 
-def int_text(n: int) -> str:
-    """n in decimal for a message, or its size when it has too many digits to print."""
+def digit_limit(name: str, verb: str) -> ValueError:
+    """The error for `name`, past the interpreter's int<->str digit limit."""
+    return ValueError(
+        f"{name} has more than {sys.get_int_max_str_digits()} decimal digits, "
+        f"the most that can be {verb}"
+    )
+
+
+def decimal(n: int, name: str, verb: str) -> str:
+    """The decimal digits of int n, or the digit-limit error for `name`."""
     try:
-        return f"{n}"
+        return int.__repr__(n)  # digits even where a subclass overrides __str__
     except ValueError:  # past the interpreter's int-to-str digit limit
-        sign = "negative " if n < 0 else ""
+        raise digit_limit(name, verb) from None
+
+
+def int_text(value) -> str:
+    """`value` for a message; an int with too many digits to print is described by its size."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        return f"{value}"  # letter_by_value also names floats, lists and others
+    try:
+        return decimal(value, "value", "written")
+    except ValueError:
+        sign = "negative " if value < 0 else ""
         return f"a {sign}number of more than {sys.get_int_max_str_digits()} digits"
 
 

@@ -193,9 +193,9 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
     def test_non_integer_input(self, capsys):
-        assert main(["encode", "--alphabet", "arabic", "abc"]) == 2
-        err = capsys.readouterr().err
-        assert "usage error" in err
+        # A number is read by parse_digits: a non-digit is a domain error.
+        code, out, err = run_cli(capsys, "encode", "--alphabet", "arabic", "abc")
+        assert (code, out, err) == (1, "", "ERROR InvalidGlyph: 'a' is not a western digit\n")
 
     def test_result_past_the_digit_limit_names_the_limit(self, capsys):
         year = "9" * sys.get_int_max_str_digits()
@@ -212,17 +212,13 @@ class TestUsageErrors:
         code, out, err = run_cli(capsys, "hijri", "--reverse", year)
         assert (code, out) == (2, "")
         assert err == (
-            f"usage error: the input has more than {sys.get_int_max_str_digits()} "
+            f"usage error: text has more than {sys.get_int_max_str_digits()} "
             "decimal digits, the most that can be read\n"
         )
         code, out, err = run_cli(capsys, "hijri", "--reverse", year + "x")
-        assert (code, out) == (2, "")
-        assert err == (
-            f"usage error: expected an integer, got '{'9' * 40}'... "
-            f"({len(year) + 1} characters)\n"
-        )
+        assert (code, out, err) == (1, "", "ERROR InvalidGlyph: 'x' is not a western digit\n")
         code, _, err = run_cli(capsys, "read", "12x")
-        assert (code, err) == (2, "usage error: expected an integer, got '12x'\n")
+        assert (code, err) == (1, "ERROR InvalidGlyph: 'x' is not a western digit\n")
 
     def test_empty_decode_input(self, capsys, monkeypatch):
         monkeypatch.setattr(

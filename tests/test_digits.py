@@ -196,15 +196,28 @@ def test_non_str_text_is_a_usage_error(call, text):
 @pytest.mark.parametrize("script", list(DigitScript))
 def test_parse_past_a_lowered_digit_limit(script):
     western = "".join(random.Random(1000).choices("0123456789", k=1000))
-    expected = int(western)
     text = transliterate(western, W, script)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        got = parse_digits(text, script)
+        with pytest.raises(ValueError) as exc:
+            parse_digits(text, script)
+        assert str(exc.value) == (
+            "text has more than 640 decimal digits, the most that can be read"
+        )
+        assert parse_digits(text[:640], script) == int(western[:640])
     finally:
         sys.set_int_max_str_digits(limit)
-    assert got == expected
+
+
+def test_parse_past_the_digit_limit_names_the_limit():
+    # No digit loop gets round the limit: it was quadratic (~2.5 s here).
+    with pytest.raises(ValueError) as exc:
+        parse_digits("9" * 100_000, W)
+    assert str(exc.value) == (
+        f"text has more than {sys.get_int_max_str_digits()} decimal digits, "
+        "the most that can be read"
+    )
 
 
 # -- the table-driven paths against the per-character loops they replaced ----
