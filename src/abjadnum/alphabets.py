@@ -11,7 +11,8 @@ import os
 from collections import namedtuple
 from enum import Enum
 
-from .errors import NotAnAbjadiValue, OutOfAlphabetRange, UnknownLetter, int_text
+from .errors import NotAnAbjadiValue, OutOfAlphabetRange, UnknownLetter, check_text, int_text
+from .errors import wrong_type
 
 # The 28 letter values: units, tens, hundreds, then 1000.
 ABJADI_SEQUENCE = tuple(
@@ -74,13 +75,21 @@ for _table in _LETTERS.values():
             _BY_CODEPOINT[_cp] = _letter
 
 
+def _of(tables: dict, alphabet: Alphabet):
+    """tables[alphabet], or a ValueError if `alphabet` is not an Alphabet."""
+    try:
+        return tables[alphabet]
+    except (KeyError, TypeError):  # TypeError: an unhashable alphabet
+        raise wrong_type("alphabet", "an Alphabet", alphabet) from None
+
+
 def letters(alphabet: Alphabet) -> tuple[Letter, ...]:
     """All letters of one alphabet in letter-value order."""
-    return _LETTERS[alphabet]
+    return _of(_LETTERS, alphabet)
 
 
 def max_letter_value(alphabet: Alphabet) -> int:
-    return _LETTERS[alphabet][-1].value
+    return letters(alphabet)[-1].value
 
 
 def letter_by_value(alphabet: Alphabet, value: int) -> Letter:
@@ -90,12 +99,11 @@ def letter_by_value(alphabet: Alphabet, value: int) -> Letter:
     OutOfAlphabetRange if the value exists but is past this alphabet's last
     letter (Hebrew stops at 400).
     """
+    by_value = _of(_BY_VALUE, alphabet)
     # Checked first because True and 1.0 hash like 1 and would find Alif.
     if isinstance(value, int) and not isinstance(value, bool):
-        try:
-            return _BY_VALUE[alphabet][value]
-        except (KeyError, TypeError):  # TypeError: an unhashable alphabet
-            pass
+        if value in by_value:
+            return by_value[value]
         if value in ABJADI_SEQUENCE:
             raise OutOfAlphabetRange(
                 f"{value} exceeds the last {alphabet.value} letter value "
@@ -106,15 +114,18 @@ def letter_by_value(alphabet: Alphabet, value: int) -> Letter:
 
 def letter_by_name(alphabet: Alphabet, name: str) -> Letter:
     """The letter of `alphabet` called `name` (as in the TSV tables)."""
+    by_name = _of(_BY_NAME, alphabet)
     try:
-        return _BY_NAME[alphabet][name]
+        return by_name[name]
     except (KeyError, TypeError):  # TypeError: an unhashable name
-        raise UnknownLetter(f"{name!r} is not the name of a {alphabet.value} letter") from None
+        shown = repr(name) if isinstance(name, str) else int_text(name)
+        raise UnknownLetter(f"{shown} is not the name of a {alphabet.value} letter") from None
 
 
 def letter_for_codepoint(codepoint: str) -> Letter:
     """Resolve a primary or variant codepoint to its letter."""
-    letter = _BY_CODEPOINT.get(codepoint)
-    if letter is None:
-        raise UnknownLetter(f"{codepoint!r} is not a letter of either alphabet")
-    return letter
+    try:
+        return _BY_CODEPOINT[codepoint]
+    except (KeyError, TypeError):  # TypeError: an unhashable codepoint
+        check_text("codepoint", codepoint)
+        raise UnknownLetter(f"{codepoint!r} is not a letter of either alphabet") from None

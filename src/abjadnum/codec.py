@@ -162,7 +162,8 @@ def gematria(phrase: str, alphabet: Alphabet, ignore: str = "") -> GematriaResul
         table = _VALUES[alphabet]
     except (KeyError, TypeError):  # TypeError: an unhashable alphabet
         raise wrong_type("alphabet", "an Alphabet", alphabet) from None
-    if ignore:
+    if ignore != "":  # not `if ignore`: a falsy non-str such as 0 is rejected too
+        check_text("ignore", ignore)
         table = _Values(alphabet, table)
         table.update(dict.fromkeys(ignore, 0))
     value_of = table.__getitem__

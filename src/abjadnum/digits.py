@@ -28,7 +28,7 @@ from collections import namedtuple
 from enum import Enum
 
 from .alphabets import Alphabet, letter_by_name
-from .errors import InvalidGlyph, check_int, check_text, decimal, digit_limit
+from .errors import InvalidGlyph, check_int, check_text, decimal, digit_limit, wrong_type
 
 
 class DigitScript(Enum):
@@ -89,7 +89,11 @@ def render_digits(n: int, script: DigitScript) -> str:
     check_int("n", n)
     if n < 0:
         raise ValueError("n must be non-negative")
-    return decimal(n, "n", "rendered").translate(_TRANSLATE[DigitScript.WESTERN][script])
+    try:
+        table = _TRANSLATE[DigitScript.WESTERN][script]
+    except (KeyError, TypeError):  # TypeError: an unhashable script
+        raise wrong_type("script", "a DigitScript", script) from None
+    return decimal(n, "n", "rendered").translate(table)
 
 
 def parse_digits(text: str, script: DigitScript) -> int:
@@ -97,7 +101,10 @@ def parse_digits(text: str, script: DigitScript) -> int:
     check_text("text", text)
     if not text:
         raise ValueError("empty digit string")
-    rest = text.translate(_NOT_DIGITS[script])
+    try:
+        rest = text.translate(_NOT_DIGITS[script])
+    except (KeyError, TypeError):  # TypeError: an unhashable script
+        raise wrong_type("script", "a DigitScript", script) from None
     if rest:
         raise InvalidGlyph(f"{rest[0]!r} is not a {script.value} digit")
     western = text.translate(_TRANSLATE[script][DigitScript.WESTERN])
@@ -114,7 +121,14 @@ def transliterate(text: str, src: DigitScript, dst: DigitScript) -> str:
     through unchanged (dates, folio labels).
     """
     check_text("text", text)
-    table = _TRANSLATE[src][dst]
+    try:
+        to_dst = _TRANSLATE[src]
+    except (KeyError, TypeError):  # TypeError: an unhashable script
+        raise wrong_type("src", "a DigitScript", src) from None
+    try:
+        table = to_dst[dst]
+    except (KeyError, TypeError):
+        raise wrong_type("dst", "a DigitScript", dst) from None
     rest = text.translate(_NOT_DIGITS_OR_SEPARATORS[src])
     if rest:
         raise InvalidGlyph(f"{rest[0]!r} is not a {src.value} digit or separator")
@@ -126,4 +140,7 @@ def digit_provenance(digit: int, script: DigitScript) -> DigitProvenance:
     check_int("digit", digit)
     if not 0 <= digit <= 9:
         raise ValueError("digit must be 0..9")
-    return _PROVENANCE[(script, digit)]
+    try:
+        return _PROVENANCE[(script, digit)]
+    except (KeyError, TypeError):  # TypeError: an unhashable script
+        raise wrong_type("script", "a DigitScript", script) from None

@@ -8,7 +8,7 @@ values from the top: "12 millions 457 mille 892".
 
 from collections import namedtuple
 
-from .errors import InsufficientLabels, check_int
+from .errors import InsufficientLabels, check_int, wrong_type
 
 RANKS = ("units", "tens", "hundreds")
 
@@ -77,13 +77,19 @@ def format_reading(
     nonzero group's value and label from the most significant group down.
     Zero is "0" either way.
     """
-    if len(reading.groups) > len(labels):
-        raise InsufficientLabels(
-            f"{len(reading.groups)} groups but only {len(labels)} labels"
-        )
+    try:
+        groups = reading.groups
+    except AttributeError:
+        raise wrong_type("reading", "a NumberReading", reading) from None
+    try:
+        too_few = len(groups) > len(labels)
+    except TypeError:
+        raise wrong_type("labels", "a tuple of str", labels) from None
+    if too_few:
+        raise InsufficientLabels(f"{len(groups)} groups but only {len(labels)} labels")
     if direction == RIGHT_TO_LEFT:
         parts = []
-        for group in reading.groups:
+        for group in groups:
             if not group.components:
                 continue
             spoken = " et ".join([str(c.value) for c in group.components])
@@ -93,7 +99,7 @@ def format_reading(
         return joiner.join(parts) if parts else "0"
     if direction == LEFT_TO_RIGHT:
         parts = []
-        for group in reversed(reading.groups):
+        for group in reversed(groups):
             if group.value == 0:
                 continue
             label = labels[group.index]
