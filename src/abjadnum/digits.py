@@ -111,7 +111,7 @@ def parse_digits(text: str, script: DigitScript) -> int:
     try:
         return int(western)
     except ValueError:  # past the interpreter's int-from-str digit limit
-        raise digit_limit("text", "read") from None
+        raise digit_limit("the digit string", "read") from None
 
 
 def transliterate(text: str, src: DigitScript, dst: DigitScript) -> str:

@@ -212,7 +212,7 @@ class TestUsageErrors:
         code, out, err = run_cli(capsys, "hijri", "--reverse", year)
         assert (code, out) == (2, "")
         assert err == (
-            f"usage error: text has more than {sys.get_int_max_str_digits()} "
+            f"usage error: the digit string has more than {sys.get_int_max_str_digits()} "
             "decimal digits, the most that can be read\n"
         )
         code, out, err = run_cli(capsys, "hijri", "--reverse", year + "x")

@@ -203,7 +203,7 @@ def test_parse_past_a_lowered_digit_limit(script):
         with pytest.raises(ValueError) as exc:
             parse_digits(text, script)
         assert str(exc.value) == (
-            "text has more than 640 decimal digits, the most that can be read"
+            "the digit string has more than 640 decimal digits, the most that can be read"
         )
         assert parse_digits(text[:640], script) == int(western[:640])
     finally:
@@ -215,7 +215,7 @@ def test_parse_past_the_digit_limit_names_the_limit():
     with pytest.raises(ValueError) as exc:
         parse_digits("9" * 100_000, W)
     assert str(exc.value) == (
-        f"text has more than {sys.get_int_max_str_digits()} decimal digits, "
+        f"the digit string has more than {sys.get_int_max_str_digits()} decimal digits, "
         "the most that can be read"
     )
 
