@@ -137,7 +137,8 @@ _OPTIONS = {
     "provenance": [("--script", ["western", "mashreki", "original"])],
     "hijri": [("--reverse", None)],
 }
-# Plain numbers, then what int() reads but a strict parse refuses, then anything.
+# Plain numbers; what int() reads but a strict parse refuses; empty, malformed
+# and over-limit numbers; anything.
 _NUMBERS = st.one_of(
     st.integers(min_value=0, max_value=10**30).map(str),
     st.sampled_from([" 12 ", "+7", "-5", "1_2", "١٢٣", "٧", "\t3\n", "-0", "0_0"]),
