@@ -126,6 +126,33 @@ _VALUES = {
 }
 
 
+# Bounds of each word memo: it is emptied on reaching _MEMO_ENTRIES words,
+# and a token longer than _MEMO_TOKEN_LEN codepoints is summed, not stored.
+_MEMO_ENTRIES = 2**14
+_MEMO_TOKEN_LEN = 64
+
+
+class _Words(dict):
+    """Token -> summed value in one alphabet; a miss sums the token's letters."""
+
+    __slots__ = ("value_of",)
+
+    def __init__(self, values: _Values):
+        super().__init__()
+        self.value_of = values.__getitem__
+
+    def __missing__(self, token: str) -> int:
+        value = sum(map(self.value_of, token))  # UnknownLetter: nothing is stored
+        if len(token) <= _MEMO_TOKEN_LEN:
+            if len(self) >= _MEMO_ENTRIES:
+                self.clear()
+            self[token] = value
+        return value
+
+
+_WORDS = {alphabet: _Words(values) for alphabet, values in _VALUES.items()}
+
+
 def decode(word: str, alphabet: Alphabet, strict: bool = False) -> int:
     """Sum the letter values of `word` (diacritics and elongation ignored).
 
@@ -159,13 +186,13 @@ def gematria(phrase: str, alphabet: Alphabet, ignore: str = "") -> GematriaResul
     """
     check_text("phrase", phrase)
     try:
-        table = _VALUES[alphabet]
+        words = _WORDS[alphabet]
     except (KeyError, TypeError):  # TypeError: an unhashable alphabet
         raise wrong_type("alphabet", "an Alphabet", alphabet) from None
+    tokens = keys = phrase.split()
     if ignore != "":  # not `if ignore`: a falsy non-str such as 0 is rejected too
         check_text("ignore", ignore)
-        table = _Values(alphabet, table)
-        table.update(dict.fromkeys(ignore, 0))
-    value_of = table.__getitem__
-    per_word = tuple([(token, sum(map(value_of, token))) for token in phrase.split()])
-    return GematriaResult(total=sum([value for _, value in per_word]), per_word=per_word)
+        dropped = dict.fromkeys(map(ord, ignore))
+        keys = [token.translate(dropped) for token in tokens]
+    values = list(map(words.__getitem__, keys))
+    return GematriaResult(total=sum(values), per_word=tuple(zip(tokens, values)))

@@ -7,6 +7,7 @@ preconditions (empty input, negative counts) raise plain ``ValueError``.
 """
 
 import sys
+from enum import EnumMeta
 
 
 def wrong_type(name: str, kind: str, value) -> ValueError:
@@ -43,14 +44,38 @@ def decimal(n: int, name: str, verb: str) -> str:
 
 
 def int_text(value) -> str:
-    """`value` for a message; an int with too many digits to print is described by its size."""
+    """`value` for a message, or a description where it has too many digits to print.
+
+    An int is then described by its size, anything else by its type.
+    """
     if isinstance(value, bool) or not isinstance(value, int):
-        return f"{value}"  # letter_by_value also names floats, lists and others
+        try:
+            return f"{value}"  # letter_by_value also names floats, lists and others
+        except ValueError:  # e.g. a list holding an int past the digit limit
+            return f"a {type(value).__name__}"
     try:
         return decimal(value, "value", "written")
     except ValueError:
         sign = "negative " if value < 0 else ""
         return f"a {sign}number of more than {sys.get_int_max_str_digits()} digits"
+
+
+class ValueEnumMeta(EnumMeta):
+    """Metaclass of the public enums: a value that is no member gets a printable error.
+
+    Enum's own message quotes the value's repr, which itself fails for an int
+    past the digit limit; such a value is described by int_text instead.
+    """
+
+    def __call__(cls, value, *args, **kwds):
+        try:
+            return super().__call__(value, *args, **kwds)
+        except ValueError:
+            try:
+                repr(value)
+            except ValueError:  # Enum's message could not be written
+                raise ValueError(f"{int_text(value)} is not a valid {cls.__qualname__}") from None
+            raise
 
 
 class NumeralError(ValueError):

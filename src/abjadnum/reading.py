@@ -83,6 +83,9 @@ def format_reading(
         raise wrong_type("reading", "a NumberReading", reading) from None
     try:
         too_few = len(groups) > len(labels)
+        # The default labels are known to be str; any others are checked.
+        if labels is not DEFAULT_LABELS and not all(isinstance(label, str) for label in labels):
+            raise TypeError
     except TypeError:
         raise wrong_type("labels", "a tuple of str", labels) from None
     if too_few:

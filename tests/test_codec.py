@@ -256,6 +256,46 @@ def test_table_caches_skipped_characters_only():
     assert len(arabic) == size
 
 
+class TestWordMemo:
+    def test_entries_never_exceed_the_cap(self):
+        words = codec._WORDS[Alphabet.ARABIC]
+        alif, ba, jim, dal = "\u0627\u0628\u062c\u062f"
+        tokens = ["".join(t) for t in itertools.product((alif, ba, jim, dal), repeat=8)]
+        tokens = tokens[: 2**15 // 2] + [t + "\u0647" for t in tokens[: 2**15 // 2]]
+        assert len(set(tokens)) == 2**15
+        most = 0
+        for token in tokens:
+            assert gematria(token, Alphabet.ARABIC).total == decode(token, Alphabet.ARABIC)
+            most = max(most, len(words))
+            assert len(words) <= codec._MEMO_ENTRIES
+        assert most == codec._MEMO_ENTRIES
+
+    def test_a_long_token_is_summed_and_not_stored(self):
+        words = codec._WORDS[Alphabet.ARABIC]
+        longest = "\u0628" * codec._MEMO_TOKEN_LEN
+        assert gematria(longest, Alphabet.ARABIC).total == 2 * codec._MEMO_TOKEN_LEN
+        assert words.get(longest) == 2 * codec._MEMO_TOKEN_LEN
+        for token in ("\u0628" * (codec._MEMO_TOKEN_LEN + 1), "\u0627" * 10_000):
+            assert gematria(token, Alphabet.ARABIC).total == decode(token, Alphabet.ARABIC)
+            assert token not in words
+
+    def test_an_unknown_letter_is_never_stored(self):
+        words = codec._WORDS[Alphabet.HEBREW]
+        for phrase in ("\u05d0! \u05d1", "\u05d0 \u0627", "x"):
+            for _ in range(2):
+                with pytest.raises(UnknownLetter):
+                    gematria(phrase, Alphabet.HEBREW)
+            assert not any(key in words for key in phrase.split()[1:] + ["\u05d0!"])
+        assert words.get("\u05d0") == 1  # the token before the bad one is stored
+
+    def test_an_ignored_character_never_reaches_the_memo(self):
+        assert gematria("\u0627!", Alphabet.ARABIC, ignore="!") == (1, (("\u0627!", 1),))
+        for table in (codec._WORDS[Alphabet.ARABIC], codec._VALUES[Alphabet.ARABIC]):
+            assert not any("!" in key for key in table)
+        with pytest.raises(UnknownLetter):
+            gematria("\u0627!", Alphabet.ARABIC)
+
+
 _arabic_word = st.lists(
     st.sampled_from(letters(Alphabet.ARABIC)), min_size=1, max_size=6
 ).map(lambda picks: "".join(letter.codepoint for letter in picks))
@@ -350,9 +390,10 @@ _ignore_sets = st.text(
 @settings(max_examples=400)
 @given(_codec_text, st.sampled_from(list(Alphabet)), _ignore_sets)
 def test_codec_matches_the_per_character_rule(text, alphabet, ignore):
-    assert _outcome(gematria, text, alphabet, ignore) == _outcome(
-        _reference_gematria, text, alphabet, ignore
-    )
+    expected = _outcome(_reference_gematria, text, alphabet, ignore)
+    codec._WORDS[alphabet].clear()  # the first call misses the word memo, the second hits it
+    for _ in range(2):
+        assert _outcome(gematria, text, alphabet, ignore) == expected
     for strict in (False, True):
         assert _outcome(decode, text, alphabet, strict) == _outcome(
             _reference_decode, text, alphabet, strict

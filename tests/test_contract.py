@@ -104,6 +104,8 @@ def _returns_or_raises_value_error(fn, args):
         fn(*args)
     except ValueError as err:
         assert isinstance(str(err), str)
+        # The interpreter's own digit-limit text is not a domain message.
+        assert "set_int_max_str_digits" not in str(err)
 
 
 @pytest.mark.parametrize("name", _FUNCTIONS)
@@ -237,11 +239,26 @@ A = Alphabet.ARABIC
          "reading must be a NumberReading, not str"),
         (lambda: abjadnum.format_reading(decompose(12), labels=5), ValueError,
          "labels must be a tuple of str, not int"),
+        (lambda: abjadnum.format_reading(decompose(5), "rtl", b"ab"), ValueError,
+         "labels must be a tuple of str, not bytes"),
+        (lambda: abjadnum.format_reading(decompose(5), "ltr", [1, 2]), ValueError,
+         "labels must be a tuple of str, not list"),
+        (lambda: abjadnum.format_reading(decompose(5), "rtl", [10**5000]), ValueError,
+         "labels must be a tuple of str, not list"),
+        (lambda: abjadnum.letter_by_value(A, [10**5000]), abjadnum.NotAnAbjadiValue,
+         "a list is not a letter value"),
+        (lambda: Alphabet(-10**5000), ValueError,
+         f"a negative number of more than {sys.get_int_max_str_digits()} digits "
+         "is not a valid Alphabet"),
+        (lambda: DigitScript([10**5000]), ValueError, "a list is not a valid DigitScript"),
     ],
     ids=["digit_provenance", "render_digits", "parse_digits", "transliterate-src",
          "transliterate-dst", "gematria-ignore", "letter_by_value-str",
          "letter_by_value-DigitScript", "letters", "max_letter_value", "letter_for_codepoint",
-         "letter_by_name-huge", "format_reading", "format_reading-labels"],
+         "letter_by_name-huge", "format_reading", "format_reading-labels",
+         "format_reading-bytes-labels", "format_reading-int-labels",
+         "format_reading-huge-labels", "letter_by_value-huge-list", "Alphabet-huge",
+         "DigitScript-huge-list"],
 )
 def test_a_wrong_argument_type_is_a_value_error(call, error, message):
     with pytest.raises(ValueError) as exc:
