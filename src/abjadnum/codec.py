@@ -16,13 +16,20 @@ UnknownLetter: "not a letter of either alphabet" when no alphabet has it,
 "not a <alphabet> letter" when only the other one does.  Zero-width
 joiners and other format characters are not skipped.
 
-Each alphabet has one table, built at import from its letter codepoints.
-A character the table lacks goes through the table's ``__missing__``,
-the one place the rule above is applied: a skipped character is stored
-as 0, so each is classified once, and anything else raises UnknownLetter
-and is never stored.  In gematria a per-call copy of the table holds the
-``ignore`` characters as 0, so they override letters and never reach the
-shared table.
+Each alphabet has two tables.  The value table, built at import from the
+letter codepoints, maps a character to its value.  A character it lacks
+goes through its ``__missing__``, the one place the rule above is applied:
+a skipped character is stored as 0, so each is classified once, and
+anything else raises UnknownLetter and is never stored.  The word memo
+maps a gematria token to its summed value, so a word that repeats in a
+text is summed once; a miss sums the token through the value table, and a
+token that raises is never stored.  An ``ignore`` set is deleted from each
+token before the lookup, so it overrides letters and reaches neither
+table.  The memo is emptied when it reaches 2**14 words, and a token longer
+than 64 codepoints is summed but not stored.  At that bound, measured with
+tracemalloc on CPython 3.11, a full memo of 8-letter words holds about
+2.0 MiB and, at worst (64-codepoint tokens stored four bytes a codepoint),
+about 6.1 MiB.
 """
 
 import unicodedata

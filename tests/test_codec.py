@@ -281,11 +281,11 @@ class TestWordMemo:
 
     def test_an_unknown_letter_is_never_stored(self):
         words = codec._WORDS[Alphabet.HEBREW]
-        for phrase in ("\u05d0! \u05d1", "\u05d0 \u0627", "x"):
+        for phrase, bad in (("\u05d0! \u05d1", "\u05d0!"), ("\u05d0 \u0627", "\u0627"), ("x", "x")):
             for _ in range(2):
                 with pytest.raises(UnknownLetter):
                     gematria(phrase, Alphabet.HEBREW)
-            assert not any(key in words for key in phrase.split()[1:] + ["\u05d0!"])
+            assert bad not in words
         assert words.get("\u05d0") == 1  # the token before the bad one is stored
 
     def test_an_ignored_character_never_reaches_the_memo(self):
