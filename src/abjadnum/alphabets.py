@@ -12,7 +12,7 @@ from collections import namedtuple
 from enum import Enum
 
 from .errors import NotAnAbjadiValue, OutOfAlphabetRange, UnknownLetter, check_text, int_text
-from .errors import ValueEnumMeta, wrong_type
+from .errors import wrong_type
 
 # The 28 letter values: units, tens, hundreds, then 1000.
 ABJADI_SEQUENCE = tuple(
@@ -20,7 +20,7 @@ ABJADI_SEQUENCE = tuple(
 )
 
 
-class Alphabet(Enum, metaclass=ValueEnumMeta):
+class Alphabet(Enum):
     ARABIC = "arabic"
     HEBREW = "hebrew"
 

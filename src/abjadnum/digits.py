@@ -28,11 +28,10 @@ from collections import namedtuple
 from enum import Enum
 
 from .alphabets import Alphabet, letter_by_name
-from .errors import InvalidGlyph, ValueEnumMeta, check_int, check_text, decimal, digit_limit
-from .errors import wrong_type
+from .errors import InvalidGlyph, check_int, check_text, decimal, digit_limit, wrong_type
 
 
-class DigitScript(Enum, metaclass=ValueEnumMeta):
+class DigitScript(Enum):
     WESTERN = "western"
     MASHREKI_EASTERN = "mashreki"
     ORIGINAL_MAGHREBI = "original"

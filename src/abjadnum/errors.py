@@ -7,7 +7,6 @@ preconditions (empty input, negative counts) raise plain ``ValueError``.
 """
 
 import sys
-from enum import EnumMeta
 
 
 def wrong_type(name: str, kind: str, value) -> ValueError:
@@ -58,24 +57,6 @@ def int_text(value) -> str:
     except ValueError:
         sign = "negative " if value < 0 else ""
         return f"a {sign}number of more than {sys.get_int_max_str_digits()} digits"
-
-
-class ValueEnumMeta(EnumMeta):
-    """Metaclass of the public enums: a value that is no member gets a printable error.
-
-    Enum's own message quotes the value's repr, which itself fails for an int
-    past the digit limit; such a value is described by int_text instead.
-    """
-
-    def __call__(cls, value, *args, **kwds):
-        try:
-            return super().__call__(value, *args, **kwds)
-        except ValueError:
-            try:
-                repr(value)
-            except ValueError:  # Enum's message could not be written
-                raise ValueError(f"{int_text(value)} is not a valid {cls.__qualname__}") from None
-            raise
 
 
 class NumeralError(ValueError):

@@ -83,8 +83,11 @@ def format_reading(
         raise wrong_type("reading", "a NumberReading", reading) from None
     try:
         too_few = len(groups) > len(labels)
-        # The default labels are known to be str; any others are checked.
-        if labels is not DEFAULT_LABELS and not all(isinstance(label, str) for label in labels):
+        # The default labels are known to be str; any others are checked.  A str
+        # is rejected too: each of its characters would pass as a label.
+        if labels is not DEFAULT_LABELS and (
+            isinstance(labels, str) or not all(isinstance(label, str) for label in labels)
+        ):
             raise TypeError
     except TypeError:
         raise wrong_type("labels", "a tuple of str", labels) from None
