@@ -23,10 +23,12 @@ a skipped character is stored as 0, so each is classified once, and
 anything else raises UnknownLetter and is never stored.  The word memo
 maps a gematria token to its summed value, so a word that repeats in a
 text is summed once; a miss sums the token through the value table, and a
-token that raises is never stored.  An ``ignore`` set is deleted from each
-token before the lookup, so it overrides letters and reaches neither
-table.  The memo is emptied when it reaches 2**14 words, and a token longer
-than 64 codepoints is summed but not stored.  At that bound, measured with
+token that raises is never stored.  Gematria masks every character of an
+``ignore`` set with the tatweel before it splits the phrase.  The tokens
+keep their places (one made only of ignored characters counts 0), an
+ignored letter counts 0, and neither table sees an ignored character: the
+memo stores the masked token.  The memo is emptied when it reaches 2**14
+words, and a token longer than 64 codepoints is summed but not stored.  At that bound, measured with
 tracemalloc on CPython 3.11, a full memo of 8-letter words holds about
 2.0 MiB and, at worst (64-codepoint tokens stored four bytes a codepoint),
 about 6.1 MiB.  Both bounds are chosen, not tuned.  Timed against summing
@@ -203,7 +205,13 @@ def gematria(phrase: str, alphabet: Alphabet, ignore: str = "") -> GematriaResul
     tokens = keys = phrase.split()
     if ignore != "":  # not `if ignore`: a falsy non-str such as 0 is rejected too
         check_text("ignore", ignore)
-        dropped = dict.fromkeys(map(ord, ignore))
-        keys = [token.translate(dropped) for token in tokens]
+        # One codepoint for one codepoint, whitespace untouched: the masked
+        # phrase splits exactly where the phrase does.  Whitespace in
+        # `ignore` already splits and counts 0.
+        masked = phrase
+        for ch in ignore:
+            if not ch.isspace():
+                masked = masked.replace(ch, _TATWEEL)
+        keys = masked.split()
     values = list(map(words.__getitem__, keys))
-    return GematriaResult(total=sum(values), per_word=tuple(zip(tokens, values)))
+    return tuple.__new__(GematriaResult, (sum(values), tuple(zip(tokens, values))))

@@ -210,6 +210,18 @@ class TestGematria:
         result = gematria("احمد، زينب!", Alphabet.ARABIC, ignore="،!")
         assert result.total == 122
 
+    @pytest.mark.parametrize(
+        "phrase, ignore, per_word",
+        [
+            # A token of ignored characters only keeps its place, worth 0.
+            ("ا ، ب", "،", (("ا", 1), ("،", 0), ("ب", 2))),
+            # Whitespace in ignore neither splits nor joins tokens.
+            ("ا ،ب", "، ", (("ا", 1), ("،ب", 2))),
+        ],
+    )
+    def test_ignore_keeps_every_token_in_place(self, phrase, ignore, per_word):
+        assert gematria(phrase, Alphabet.ARABIC, ignore=ignore).per_word == per_word
+
     def test_hebrew_with_niqqud(self):
         assert gematria("אֲשֶׁר", Alphabet.HEBREW).total == 501
 
@@ -381,7 +393,7 @@ _codec_text = st.text(
 _ignore_sets = st.text(
     alphabet=st.sampled_from(
         ["\u0627", "\u0623", "\u0628", "\u05d4", "\u05dd", "\u064e", "\u05b8",
-         "\u200d", "\u20d0", "!", "\u060c", "a"]
+         "\u200d", "\u20d0", "!", "\u060c", "a", " ", "\t", "\u00a0", "\u0640"]
     ),
     max_size=4,
 )
