@@ -12,11 +12,13 @@ Each digit of each script descends from one Arabic or Hebrew letter; the
 provenance table ships as a TSV next to this module (script, digit, source
 alphabet, source letter name, transformation note).
 
-Rendering, parsing and transliteration go through ``str.translate`` tables
-built at import, one per (source, target) script pair.  A text is first
-checked by deleting every character its script accepts (the ten glyphs,
-and for transliterate the separators): whatever is left starts with the
-first invalid glyph, which the InvalidGlyph message names.
+Rendering and transliteration go through ``str.translate`` tables built at
+import, one per script pair.  A text is first checked with ``str.lstrip``
+of every character its script accepts (the ten glyphs, and for
+transliterate the separators): what is left starts with the first invalid
+glyph, which InvalidGlyph names.  Only then does parsing call ``int()``: it
+reads Western and Arabic-Indic digits, but other decimal digits, signs, "_"
+and whitespace too.  Maghrebi proxy glyphs get 4 and 5 swapped back first.
 
 A number has at most as many digits as the interpreter converts between
 int and str (4300 unless raised with ``sys.set_int_max_str_digits``): past
@@ -51,11 +53,8 @@ _TRANSLATE = {
     src: {dst: str.maketrans(src_glyphs, dst_glyphs) for dst, dst_glyphs in _GLYPHS.items()}
     for src, src_glyphs in _GLYPHS.items()
 }
-# Deleting tables: what survives them is not a digit (or separator) of the script.
-_NOT_DIGITS = {script: str.maketrans("", "", glyphs) for script, glyphs in _GLYPHS.items()}
-_NOT_DIGITS_OR_SEPARATORS = {
-    script: str.maketrans("", "", glyphs + SEPARATORS) for script, glyphs in _GLYPHS.items()
-}
+_SWAP_4_5 = bytes.maketrans(b"45", b"54")  # Maghrebi proxy glyphs to Western
+_GLYPHS_OR_SEPARATORS = {script: glyphs + SEPARATORS for script, glyphs in _GLYPHS.items()}
 
 class DigitProvenance(namedtuple("DigitProvenance", "digit script alphabet letter note")):
     """The source letter and reshaping behind one digit glyph."""
@@ -102,14 +101,15 @@ def parse_digits(text: str, script: DigitScript) -> int:
     if not text:
         raise ValueError("empty digit string")
     try:
-        rest = text.translate(_NOT_DIGITS[script])
+        rest = text.lstrip(_GLYPHS[script])
     except (KeyError, TypeError):  # TypeError: an unhashable script
         raise wrong_type("script", "a DigitScript", script) from None
     if rest:
         raise InvalidGlyph(f"{rest[0]!r} is not a {script.value} digit")
-    western = text.translate(_TRANSLATE[script][DigitScript.WESTERN])
+    if script is DigitScript.ORIGINAL_MAGHREBI:
+        text = text.encode().translate(_SWAP_4_5)  # int() reads ASCII bytes too
     try:
-        return int(western)
+        return int(text)
     except ValueError:  # past the interpreter's int-from-str digit limit
         raise digit_limit("the digit string", "read") from None
 
@@ -129,7 +129,7 @@ def transliterate(text: str, src: DigitScript, dst: DigitScript) -> str:
         table = to_dst[dst]
     except (KeyError, TypeError):
         raise wrong_type("dst", "a DigitScript", dst) from None
-    rest = text.translate(_NOT_DIGITS_OR_SEPARATORS[src])
+    rest = text.lstrip(_GLYPHS_OR_SEPARATORS[src])
     if rest:
         raise InvalidGlyph(f"{rest[0]!r} is not a {src.value} digit or separator")
     return text.translate(table)

@@ -4,6 +4,12 @@ A right-to-left reader speaks the components of each group starting from
 the units: 12457892 becomes "2 et 90 et 800 ; 7 et 50 et 400 mille ; 2 et
 10 millions".  A left-to-right reader first regroups, then reads the group
 values from the top: "12 millions 457 mille 892".
+
+A group value is one of 0..999, and each has one components tuple, kept in
+a table that is filled on first use (nothing is built at import) and never
+holds more than 1000 entries.  The right-to-left speech of each of those
+tuples is kept beside it and found by the tuple's identity, which the table
+keeps alive; any other components (a hand-built group) are spoken afresh.
 """
 
 from collections import namedtuple
@@ -41,11 +47,28 @@ _UNITS, _TENS, _HUNDREDS = tuple(
 
 _new = tuple.__new__  # positional record construction, as namedtuple's _make
 
+# id of a components tuple held by _COMPONENTS -> its right-to-left speech.
+_SPOKEN: dict[int, str] = {}
 
-def _components(group_value: int) -> tuple[RankComponent, ...]:
-    return (
-        _UNITS[group_value % 10] + _TENS[group_value // 10 % 10] + _HUNDREDS[group_value // 100]
-    )
+
+def _speak(components) -> str:
+    return " et ".join([str(c.value) for c in components])
+
+
+class _Components(dict):
+    """Group value -> its components tuple; a miss builds and stores it."""
+
+    def __missing__(self, value: int) -> tuple[RankComponent, ...]:
+        # setdefault: two threads that miss together still share one tuple,
+        # so no id in _SPOKEN outlives its tuple.
+        components = self.setdefault(
+            value, _UNITS[value % 10] + _TENS[value // 10 % 10] + _HUNDREDS[value // 100]
+        )
+        _SPOKEN[id(components)] = _speak(components)
+        return components
+
+
+_COMPONENTS = _Components()
 
 
 def decompose(n: int) -> NumberReading:
@@ -57,7 +80,7 @@ def decompose(n: int) -> NumberReading:
     rest = n
     while True:
         rest, value = divmod(rest, 1000)
-        groups.append(_new(Group, (len(groups), value, _components(value))))
+        groups.append(_new(Group, (len(groups), value, _COMPONENTS[value])))
         if not rest:
             break
     return _new(NumberReading, (n, tuple(groups)))
@@ -82,7 +105,11 @@ def format_reading(
     except AttributeError:
         raise wrong_type("reading", "a NumberReading", reading) from None
     try:
-        too_few = len(groups) > len(labels)
+        count = len(groups)
+    except TypeError:
+        raise wrong_type("reading.groups", "a tuple of Group", groups) from None
+    try:
+        too_few = count > len(labels)
         # The default labels are known to be str; any others are checked.  A str
         # is rejected too: each of its characters would pass as a label.
         if labels is not DEFAULT_LABELS and (
@@ -92,23 +119,27 @@ def format_reading(
     except TypeError:
         raise wrong_type("labels", "a tuple of str", labels) from None
     if too_few:
-        raise InsufficientLabels(f"{len(groups)} groups but only {len(labels)} labels")
-    if direction == RIGHT_TO_LEFT:
-        parts = []
-        for group in groups:
-            if not group.components:
-                continue
-            spoken = " et ".join([str(c.value) for c in group.components])
-            label = labels[group.index]
-            parts.append(f"{spoken} {label}" if label else spoken)
-        joiner = " et " if figure_exact else " ; "
-        return joiner.join(parts) if parts else "0"
-    if direction == LEFT_TO_RIGHT:
-        parts = []
-        for group in reversed(groups):
-            if group.value == 0:
-                continue
-            label = labels[group.index]
-            parts.append(f"{group.value} {label}" if label else str(group.value))
-        return " ".join(parts) if parts else "0"
+        raise InsufficientLabels(f"{count} groups but only {len(labels)} labels")
+    try:
+        if direction == RIGHT_TO_LEFT:
+            parts = []
+            for group in groups:
+                components = group.components
+                if not components:
+                    continue
+                spoken = _SPOKEN.get(id(components)) or _speak(components)
+                label = labels[group.index]
+                parts.append(f"{spoken} {label}" if label else spoken)
+            joiner = " et " if figure_exact else " ; "
+            return joiner.join(parts) if parts else "0"
+        if direction == LEFT_TO_RIGHT:
+            parts = []
+            for group in reversed(groups):
+                if group.value == 0:
+                    continue
+                label = labels[group.index]
+                parts.append(f"{group.value} {label}" if label else str(group.value))
+            return " ".join(parts) if parts else "0"
+    except AttributeError:  # a group that is not a Group
+        raise wrong_type("reading.groups", "a tuple of Group", groups) from None
     raise ValueError(f"direction must be {RIGHT_TO_LEFT!r} or {LEFT_TO_RIGHT!r}")

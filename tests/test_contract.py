@@ -251,13 +251,21 @@ A = Alphabet.ARABIC
          "a list is not a letter value"),
         (lambda: abjadnum.format_reading(decompose(5000), "ltr", "ab"), ValueError,
          "labels must be a tuple of str, not str"),
+        (lambda: abjadnum.format_reading(abjadnum.NumberReading(1, None)), ValueError,
+         "reading.groups must be a tuple of Group, not NoneType"),
+        (lambda: abjadnum.format_reading(abjadnum.NumberReading(1, [1, 2])), ValueError,
+         "reading.groups must be a tuple of Group, not list"),
+        (lambda: abjadnum.format_reading(abjadnum.NumberReading(1, [1, 2]), "ltr"), ValueError,
+         "reading.groups must be a tuple of Group, not list"),
     ],
     ids=["digit_provenance", "render_digits", "parse_digits", "transliterate-src",
          "transliterate-dst", "gematria-ignore", "letter_by_value-str",
          "letter_by_value-DigitScript", "letters", "max_letter_value", "letter_for_codepoint",
          "letter_by_name-huge", "format_reading", "format_reading-labels",
          "format_reading-bytes-labels", "format_reading-int-labels",
-         "format_reading-huge-labels", "letter_by_value-huge-list", "format_reading-str-labels"],
+         "format_reading-huge-labels", "letter_by_value-huge-list", "format_reading-str-labels",
+         "format_reading-none-groups", "format_reading-int-groups",
+         "format_reading-int-groups-ltr"],
 )
 def test_a_wrong_argument_type_is_a_value_error(call, error, message):
     with pytest.raises(ValueError) as exc:

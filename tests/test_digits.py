@@ -310,3 +310,65 @@ def test_transliterate_matches_the_digit_loop(drawn, dst):
     assert _outcome(transliterate, text, src, dst) == _outcome(
         _reference_transliterate, text, src, dst
     )
+
+
+# -- the lstrip check against the deleting-table check it replaced -----------
+# int() reads far more than the ten glyphs of a script, so the check before it
+# must reject everything the deleting tables rejected, with the same message.
+
+_INT_DIGITS = (
+    "\u06f0\u06f1\u06f4\u06f5\u06f9"  # Persian (Extended Arabic-Indic)
+    "\uff10\uff11\uff14\uff15\uff19"  # fullwidth
+    "\u0966\u0967\u096a\u096f"  # Devanagari
+    "\u00b2_+- \t\n\u00a0\u3000"  # superscript two, underscore, signs, whitespace
+)
+
+
+def _deleting_parse(text, script):
+    if not text:
+        raise ValueError("empty digit string")
+    rest = text.translate(str.maketrans("", "", _REF_GLYPHS[script]))
+    if rest:
+        raise InvalidGlyph(f"{rest[0]!r} is not a {script.value} digit")
+    return int(text.translate(str.maketrans(_REF_GLYPHS[script], "0123456789")))
+
+
+def _deleting_transliterate(text, src, dst):
+    rest = text.translate(str.maketrans("", "", _REF_GLYPHS[src] + SEPARATORS))
+    if rest:
+        raise InvalidGlyph(f"{rest[0]!r} is not a {src.value} digit or separator")
+    return text.translate(str.maketrans(_REF_GLYPHS[src], _REF_GLYPHS[dst]))
+
+
+def _mixed_texts(script):
+    def drawn(extra):
+        chars = sorted(set(_REF_GLYPHS[script] + extra))
+        return st.text(alphabet=st.sampled_from(chars), min_size=1, max_size=20)
+
+    # Mostly the script's own glyphs, so a single intruder is often the only one.
+    return st.one_of(
+        drawn(""), drawn(SEPARATORS), drawn(_INT_DIGITS), drawn(SEPARATORS + _INT_DIGITS)
+    )
+
+
+@settings(max_examples=400)
+@given(_scripts.flatmap(lambda script: st.tuples(st.just(script), _mixed_texts(script))))
+def test_parse_matches_the_deleting_check(drawn):
+    script, text = drawn
+    assert _outcome(parse_digits, text, script) == _outcome(_deleting_parse, text, script)
+
+
+@settings(max_examples=400)
+@given(_scripts.flatmap(lambda src: st.tuples(st.just(src), _mixed_texts(src))), _scripts)
+def test_transliterate_matches_the_deleting_check(drawn, dst):
+    src, text = drawn
+    assert _outcome(transliterate, text, src, dst) == _outcome(
+        _deleting_transliterate, text, src, dst
+    )
+
+
+def test_a_persian_digit_among_mashreki_ones_is_invalid():
+    # int() would read "١٢۴٥" as 1245: Persian four is a decimal digit too.
+    with pytest.raises(InvalidGlyph) as exc:
+        parse_digits("١٢۴٥", M)
+    assert str(exc.value) == "'۴' is not a mashreki digit"

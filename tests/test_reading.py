@@ -1,3 +1,7 @@
+import random
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +15,7 @@ from abjadnum import (
     decompose,
     format_reading,
 )
+from abjadnum import reading as reading_module
 
 
 def flat_components(reading):
@@ -226,3 +231,47 @@ def test_reading_matches_the_rank_loop(n, mode, labels):
     assert _outcome(format_reading, got[1], direction, labels, figure_exact) == _outcome(
         _reference_format, expected[1], direction, labels, figure_exact
     )
+
+
+# -- the per-group-value table and the speech found by identity --------------
+
+
+def test_the_group_table_holds_at_most_one_entry_per_group_value():
+    rng = random.Random(10)
+    for _ in range(10**5):
+        decompose(rng.randrange(10**40))
+    assert len(reading_module._COMPONENTS) <= 1000
+    assert len(reading_module._SPOKEN) <= 1000
+
+
+def test_nothing_is_built_at_import():
+    # A fresh interpreter, because this one has long since filled the tables.
+    code = (
+        "import abjadnum; from abjadnum import reading; "
+        "print(len(reading._COMPONENTS), len(reading._SPOKEN))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().split() == ["0", "0"]
+
+
+def _hand_built(components):
+    return NumberReading(2, (Group(0, 2, components),))
+
+
+@pytest.mark.parametrize(
+    "reading, spoken",
+    [
+        # Both equal decompose(2)'s components tuple, which the table holds; a
+        # table keyed by equality would speak them as "2".
+        (_hand_built((RankComponent("units", 2.0),)), "2.0"),
+        (_hand_built((RankComponent("units", True),)), "True"),
+        (_hand_built((RankComponent("units", 2),)), "2"),
+        (_hand_built(tuple(list(decompose(12).groups[0].components))), "2 et 10"),
+        (_hand_built([RankComponent("units", 2), RankComponent("tens", 10)]), "2 et 10"),
+    ],
+    ids=["float", "bool", "equal-tuple", "copied-tuple", "list"],
+)
+def test_hand_built_components_are_spoken_as_they_are(reading, spoken):
+    decompose(2)
+    assert format_reading(reading, "rtl") == spoken
