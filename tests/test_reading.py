@@ -262,15 +262,14 @@ def _hand_built(components):
 @pytest.mark.parametrize(
     "reading, spoken",
     [
-        # Both equal decompose(2)'s components tuple, which the table holds; a
-        # table keyed by equality would speak them as "2".
+        # The first two equal decompose(2)'s components tuple, which the table
+        # holds; a table keyed by equality would speak them as "2".
         (_hand_built((RankComponent("units", 2.0),)), "2.0"),
         (_hand_built((RankComponent("units", True),)), "True"),
         (_hand_built((RankComponent("units", 2),)), "2"),
-        (_hand_built(tuple(list(decompose(12).groups[0].components))), "2 et 10"),
         (_hand_built([RankComponent("units", 2), RankComponent("tens", 10)]), "2 et 10"),
     ],
-    ids=["float", "bool", "equal-tuple", "copied-tuple", "list"],
+    ids=["float", "bool", "equal-tuple", "list"],
 )
 def test_hand_built_components_are_spoken_as_they_are(reading, spoken):
     decompose(2)
