@@ -12,7 +12,7 @@ from collections import namedtuple
 from enum import Enum
 
 from .errors import NotAnAbjadiValue, OutOfAlphabetRange, UnknownLetter, check_text, int_text
-from .errors import wrong_type
+from .errors import lookup
 
 # The 28 letter values: units, tens, hundreds, then 1000.
 ABJADI_SEQUENCE = tuple(
@@ -36,23 +36,25 @@ class Letter(namedtuple("Letter", "codepoint variants name value order alphabet"
         return (self.codepoint, *self.variants)
 
 
-def _load(alphabet: Alphabet) -> tuple[Letter, ...]:
-    path = os.path.join(os.path.dirname(__file__), "data", f"{alphabet.value}.tsv")
+def _rows(name: str) -> list[list[str]]:
+    """The tab-separated fields of each line of data/<name>.tsv."""
+    path = os.path.join(os.path.dirname(__file__), "data", f"{name}.tsv")
     with open(path, encoding="utf-8") as tsv:
-        lines = tsv.read().splitlines()
-    letters = []
-    for line in lines:
-        order, primary, variants, name, value = line.split("\t")
-        letters.append(
-            Letter(
-                codepoint=primary,
-                variants=tuple(v for v in variants.split(",") if v),
-                name=name,
-                value=int(value),
-                order=int(order),
-                alphabet=alphabet,
-            )
+        return [line.split("\t") for line in tsv.read().splitlines()]
+
+
+def _load(alphabet: Alphabet) -> tuple[Letter, ...]:
+    letters = [
+        Letter(
+            codepoint=primary,
+            variants=tuple(v for v in variants.split(",") if v),
+            name=name,
+            value=int(value),
+            order=int(order),
+            alphabet=alphabet,
         )
+        for order, primary, variants, name, value in _rows(alphabet.value)
+    ]
     letters.sort(key=lambda letter: letter.order)
     return tuple(letters)
 
@@ -75,17 +77,9 @@ for _table in _LETTERS.values():
             _BY_CODEPOINT[_cp] = _letter
 
 
-def _of(tables: dict, alphabet: Alphabet):
-    """tables[alphabet], or a ValueError if `alphabet` is not an Alphabet."""
-    try:
-        return tables[alphabet]
-    except (KeyError, TypeError):  # TypeError: an unhashable alphabet
-        raise wrong_type("alphabet", "an Alphabet", alphabet) from None
-
-
 def letters(alphabet: Alphabet) -> tuple[Letter, ...]:
     """All letters of one alphabet in letter-value order."""
-    return _of(_LETTERS, alphabet)
+    return lookup(_LETTERS, alphabet, "alphabet", "an Alphabet")
 
 
 def max_letter_value(alphabet: Alphabet) -> int:
@@ -99,7 +93,7 @@ def letter_by_value(alphabet: Alphabet, value: int) -> Letter:
     OutOfAlphabetRange if the value exists but is past this alphabet's last
     letter (Hebrew stops at 400).
     """
-    by_value = _of(_BY_VALUE, alphabet)
+    by_value = lookup(_BY_VALUE, alphabet, "alphabet", "an Alphabet")
     # Checked first because True and 1.0 hash like 1 and would find Alif.
     if isinstance(value, int) and not isinstance(value, bool):
         if value in by_value:
@@ -114,7 +108,7 @@ def letter_by_value(alphabet: Alphabet, value: int) -> Letter:
 
 def letter_by_name(alphabet: Alphabet, name: str) -> Letter:
     """The letter of `alphabet` called `name` (as in the TSV tables)."""
-    by_name = _of(_BY_NAME, alphabet)
+    by_name = lookup(_BY_NAME, alphabet, "alphabet", "an Alphabet")
     try:
         return by_name[name]
     except (KeyError, TypeError):  # TypeError: an unhashable name

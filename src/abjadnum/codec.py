@@ -50,7 +50,7 @@ from .alphabets import (
     letters,
 )
 from .errors import NonCanonical, OutOfRange, UnknownLetter, ZeroUnencodable
-from .errors import check_int, check_text, int_text, wrong_type
+from .errors import check_int, check_text, int_text, lookup
 
 MAX_ENCODABLE = {Alphabet.ARABIC: 1999, Alphabet.HEBREW: 499}
 
@@ -77,10 +77,12 @@ class AbjadNumeral(namedtuple("AbjadNumeral", "alphabet letters value")):
 # per_word holds one (token, value) pair per whitespace-separated token.
 GematriaResult = namedtuple("GematriaResult", "total per_word")
 
-# _RANK_LETTERS[alphabet][r][d] is () for d == 0, else a one-tuple of the
-# letter of value d * 10**r; digits past MAX_ENCODABLE have no entry.
-_RANK_LETTERS = {
-    alphabet: tuple(
+# _ENCODING[alphabet] is (limit, units, tens, hundreds, thousands): limit is
+# MAX_ENCODABLE[alphabet], and entry d of a rank r's table is () for d == 0,
+# else a one-tuple of the letter of value d * 10**r; digits past the limit
+# have no entry.
+_ENCODING = {
+    alphabet: (limit,) + tuple(
         ((),)
         + tuple(
             (letter_by_value(alphabet, digit * scale),)
@@ -104,13 +106,11 @@ def encode(n: int, alphabet: Alphabet) -> AbjadNumeral:
     check_int("n", n)
     if n == 0:
         raise ZeroUnencodable("zero is not a letter value and has no word form")
-    try:
-        limit = MAX_ENCODABLE[alphabet]
-    except (KeyError, TypeError):  # TypeError: an unhashable alphabet
-        raise wrong_type("alphabet", "an Alphabet", alphabet) from None
+    limit, units, tens, hundreds, thousands = lookup(
+        _ENCODING, alphabet, "alphabet", "an Alphabet"
+    )
     if not 1 <= n <= limit:
         raise OutOfRange(f"{int_text(n)} is outside 1..{limit} for {alphabet.value}")
-    units, tens, hundreds, thousands = _RANK_LETTERS[alphabet]
     picked = units[n % 10] + tens[n // 10 % 10] + hundreds[n // 100 % 10] + thousands[n // 1000]
     return tuple.__new__(AbjadNumeral, (alphabet, picked, n))
 
@@ -175,10 +175,7 @@ def decode(word: str, alphabet: Alphabet, strict: bool = False) -> int:
     values, at most one letter per rank band.
     """
     check_text("word", word)
-    try:
-        table = _VALUES[alphabet]
-    except (KeyError, TypeError):  # TypeError: an unhashable alphabet
-        raise wrong_type("alphabet", "an Alphabet", alphabet) from None
+    table = lookup(_VALUES, alphabet, "alphabet", "an Alphabet")
     values = list(filter(None, map(table.__getitem__, word)))
     if not values:
         raise ValueError("empty word")
@@ -199,10 +196,7 @@ def gematria(phrase: str, alphabet: Alphabet, ignore: str = "") -> GematriaResul
     anything else unmapped raises UnknownLetter.
     """
     check_text("phrase", phrase)
-    try:
-        words = _WORDS[alphabet]
-    except (KeyError, TypeError):  # TypeError: an unhashable alphabet
-        raise wrong_type("alphabet", "an Alphabet", alphabet) from None
+    words = lookup(_WORDS, alphabet, "alphabet", "an Alphabet")
     tokens = keys = phrase.split()
     if ignore != "":  # not `if ignore`: a falsy non-str such as 0 is rejected too
         check_text("ignore", ignore)

@@ -25,12 +25,11 @@ int and str (4300 unless raised with ``sys.set_int_max_str_digits``): past
 that limit, rendering and parsing both raise a ValueError that names it.
 """
 
-import os
 from collections import namedtuple
 from enum import Enum
 
-from .alphabets import Alphabet, letter_by_name
-from .errors import InvalidGlyph, check_int, check_text, decimal, digit_limit, wrong_type
+from .alphabets import Alphabet, _rows, letter_by_name
+from .errors import InvalidGlyph, check_int, check_text, decimal, digit_limit, lookup
 
 
 class DigitScript(Enum):
@@ -48,13 +47,19 @@ _GLYPHS = {
 # Non-digit codepoints passed through untouched by transliterate().
 SEPARATORS = " .,-/"
 
-# _TRANSLATE[src][dst] maps each glyph of src to the value-equal glyph of dst.
+# _TRANSLATE[src] is (accepted, to_dst): accepted holds the glyphs of src and
+# the separators, and to_dst[dst] maps each glyph of src to the value-equal
+# glyph of dst.
 _TRANSLATE = {
-    src: {dst: str.maketrans(src_glyphs, dst_glyphs) for dst, dst_glyphs in _GLYPHS.items()}
+    src: (
+        src_glyphs + SEPARATORS,
+        {dst: str.maketrans(src_glyphs, dst_glyphs) for dst, dst_glyphs in _GLYPHS.items()},
+    )
     for src, src_glyphs in _GLYPHS.items()
 }
+_RENDER = _TRANSLATE[DigitScript.WESTERN][1]  # render_digits' tables, from Western
 _SWAP_4_5 = bytes.maketrans(b"45", b"54")  # Maghrebi proxy glyphs to Western
-_GLYPHS_OR_SEPARATORS = {script: glyphs + SEPARATORS for script, glyphs in _GLYPHS.items()}
+
 
 class DigitProvenance(namedtuple("DigitProvenance", "digit script alphabet letter note")):
     """The source letter and reshaping behind one digit glyph."""
@@ -62,13 +67,9 @@ class DigitProvenance(namedtuple("DigitProvenance", "digit script alphabet lette
     __slots__ = ()
 
 
-def _load_provenance() -> dict[tuple[DigitScript, int], DigitProvenance]:
-    path = os.path.join(os.path.dirname(__file__), "data", "digit_provenance.tsv")
-    with open(path, encoding="utf-8") as tsv:
-        lines = tsv.read().splitlines()
+def _load_provenance() -> dict[DigitScript, dict[int, DigitProvenance]]:
     table = {}
-    for line in lines:
-        script, digit, alphabet, letter_name, note = line.split("\t")
+    for script, digit, alphabet, letter_name, note in _rows("digit_provenance"):
         entry = DigitProvenance(
             digit=int(digit),
             script=DigitScript(script),
@@ -76,7 +77,7 @@ def _load_provenance() -> dict[tuple[DigitScript, int], DigitProvenance]:
             letter=letter_by_name(Alphabet(alphabet), letter_name),
             note=note,
         )
-        table[(entry.script, entry.digit)] = entry
+        table.setdefault(entry.script, {})[entry.digit] = entry
     return table
 
 
@@ -88,10 +89,7 @@ def render_digits(n: int, script: DigitScript) -> str:
     check_int("n", n)
     if n < 0:
         raise ValueError("n must be non-negative")
-    try:
-        table = _TRANSLATE[DigitScript.WESTERN][script]
-    except (KeyError, TypeError):  # TypeError: an unhashable script
-        raise wrong_type("script", "a DigitScript", script) from None
+    table = lookup(_RENDER, script, "script", "a DigitScript")
     return decimal(n, "n", "rendered").translate(table)
 
 
@@ -100,10 +98,7 @@ def parse_digits(text: str, script: DigitScript) -> int:
     check_text("text", text)
     if not text:
         raise ValueError("empty digit string")
-    try:
-        rest = text.lstrip(_GLYPHS[script])
-    except (KeyError, TypeError):  # TypeError: an unhashable script
-        raise wrong_type("script", "a DigitScript", script) from None
+    rest = text.lstrip(lookup(_GLYPHS, script, "script", "a DigitScript"))
     if rest:
         raise InvalidGlyph(f"{rest[0]!r} is not a {script.value} digit")
     if script is DigitScript.ORIGINAL_MAGHREBI:
@@ -121,15 +116,9 @@ def transliterate(text: str, src: DigitScript, dst: DigitScript) -> str:
     through unchanged (dates, folio labels).
     """
     check_text("text", text)
-    try:
-        to_dst = _TRANSLATE[src]
-    except (KeyError, TypeError):  # TypeError: an unhashable script
-        raise wrong_type("src", "a DigitScript", src) from None
-    try:
-        table = to_dst[dst]
-    except (KeyError, TypeError):
-        raise wrong_type("dst", "a DigitScript", dst) from None
-    rest = text.lstrip(_GLYPHS_OR_SEPARATORS[src])
+    accepted, to_dst = lookup(_TRANSLATE, src, "src", "a DigitScript")
+    table = lookup(to_dst, dst, "dst", "a DigitScript")
+    rest = text.lstrip(accepted)
     if rest:
         raise InvalidGlyph(f"{rest[0]!r} is not a {src.value} digit or separator")
     return text.translate(table)
@@ -140,7 +129,4 @@ def digit_provenance(digit: int, script: DigitScript) -> DigitProvenance:
     check_int("digit", digit)
     if not 0 <= digit <= 9:
         raise ValueError("digit must be 0..9")
-    try:
-        return _PROVENANCE[(script, digit)]
-    except (KeyError, TypeError):  # TypeError: an unhashable script
-        raise wrong_type("script", "a DigitScript", script) from None
+    return lookup(_PROVENANCE, script, "script", "a DigitScript")[digit]

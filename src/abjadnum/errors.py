@@ -4,6 +4,9 @@ Every error the library raises on bad domain input subclasses
 :class:`NumeralError`, whose ``code`` is the stable machine-readable name
 printed by the CLI as ``ERROR <code>: <detail>``.  Violated call
 preconditions (empty input, negative counts) raise plain ``ValueError``.
+An argument of the wrong type does too; :func:`lookup` is the one place
+that raises it for an ``Alphabet`` or ``DigitScript`` argument, whose
+member is looked up once per call in a table keyed by that enum.
 """
 
 import sys
@@ -12,6 +15,14 @@ import sys
 def wrong_type(name: str, kind: str, value) -> ValueError:
     """The error for an argument `name` that should be `kind` but is `value`."""
     return ValueError(f"{name} must be {kind}, not {type(value).__name__}")
+
+
+def lookup(table: dict, key, name: str, kind: str):
+    """table[key], or the wrong_type error for `name` if `key` is not a `kind`."""
+    try:
+        return table[key]
+    except (KeyError, TypeError):  # TypeError: an unhashable key
+        raise wrong_type(name, kind, key) from None
 
 
 def check_int(name: str, value) -> None:

@@ -13,6 +13,7 @@ keeps alive; any other components (a hand-built group) are spoken afresh.
 """
 
 from collections import namedtuple
+from collections.abc import Sequence
 
 from .errors import InsufficientLabels, check_int, wrong_type
 
@@ -111,9 +112,12 @@ def format_reading(
     try:
         too_few = count > len(labels)
         # The default labels are known to be str; any others are checked.  A str
-        # is rejected too: each of its characters would pass as a label.
+        # is rejected too: each of its characters would pass as a label.  A set
+        # or a dict is not indexed by position.
         if labels is not DEFAULT_LABELS and (
-            isinstance(labels, str) or not all(isinstance(label, str) for label in labels)
+            isinstance(labels, str)
+            or not isinstance(labels, Sequence)
+            or not all(isinstance(label, str) for label in labels)
         ):
             raise TypeError
     except TypeError:
@@ -140,6 +144,8 @@ def format_reading(
                 label = labels[group.index]
                 parts.append(f"{group.value} {label}" if label else str(group.value))
             return " ".join(parts) if parts else "0"
-    except AttributeError:  # a group that is not a Group
+    except (AttributeError, IndexError, TypeError, ValueError):
+        # A group that is not a Group, or one whose index picks no label, whose
+        # components are not RankComponents or whose value has too many digits.
         raise wrong_type("reading.groups", "a tuple of Group", groups) from None
     raise ValueError(f"direction must be {RIGHT_TO_LEFT!r} or {LEFT_TO_RIGHT!r}")

@@ -5,6 +5,8 @@ code, stdout and stderr they gave.  argparse wraps its usage text to the
 terminal width, so for a row that argparse rejects (stderr starting with
 ``usage: ``) only the final error line of stderr is compared.
 
+``python tests/test_cli_transcript.py --check`` replays the transcript
+without pytest, names each row that differs and exits 1 if any does.
 ``python tests/test_cli_transcript.py`` rewrites the file from the CLI as it
 stands, keeping each row's argv and stdin.
 """
@@ -15,8 +17,6 @@ import json
 import sys
 import types
 from pathlib import Path
-
-import pytest
 
 from abjadnum.cli import main
 
@@ -51,16 +51,44 @@ def _row_id(row: dict) -> str:
     return shown if len(shown) <= 60 else f"{shown[:60]}...({len(shown)})"
 
 
-@pytest.mark.parametrize("expected", _rows(), ids=_row_id)
-def test_row(expected):
+def replay(expected: dict) -> tuple[dict, dict]:
+    """The row the CLI gives now and `expected`, as they are compared."""
     got = run(expected["argv"], expected["stdin"])
-    if expected["stderr"].startswith("usage: "):
-        assert got["stderr"].startswith("usage: ")
+    if expected["stderr"].startswith("usage: ") and got["stderr"].startswith("usage: "):
         got["stderr"] = got["stderr"].splitlines()[-1]
         expected = {**expected, "stderr": expected["stderr"].splitlines()[-1]}
+    return got, expected
+
+
+def pytest_generate_tests(metafunc):
+    # Parametrised here rather than with pytest.mark, so that --check runs
+    # without pytest installed.
+    if "expected" in metafunc.fixturenames:
+        rows = _rows()
+        metafunc.parametrize("expected", rows, ids=[_row_id(row) for row in rows])
+
+
+def test_row(expected):
+    got, expected = replay(expected)
     assert got == expected
 
 
+def _check() -> int:
+    rows = _rows()
+    differing = 0
+    for row in rows:
+        got, expected = replay(row)
+        if got != expected:
+            differing += 1
+            print(f"differs: {_row_id(row)}", file=sys.stderr)
+    print(f"{len(rows) - differing}/{len(rows)} rows match {TRANSCRIPT.name}")
+    return 1 if differing else 0
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(_check())
+    if sys.argv[1:]:
+        sys.exit(f"usage: {sys.argv[0]} [--check]")
     rows = [run(row["argv"], row["stdin"]) for row in _rows()]
     TRANSCRIPT.write_text(json.dumps(rows, ensure_ascii=False, indent=1) + "\n", encoding="utf-8")

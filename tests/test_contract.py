@@ -17,24 +17,62 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import abjadnum
-from abjadnum import Alphabet, DigitScript, decompose
+from abjadnum import Alphabet, DigitScript, Group, NumberReading, RankComponent, decompose
 from abjadnum.alphabets import letter_by_name
 from abjadnum.cli import main
 
 _ENUMS = [*Alphabet, *DigitScript]
 
-_JUNK = st.one_of(
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+_SCALARS = st.one_of(
     st.integers(min_value=-3, max_value=12),
     st.integers(),
-    st.sampled_from([10**4300, 10**5000, -10**5000, 400, 1000, 2000, True, False]),
+    st.sampled_from([400, 1000, 2000, True, False]),
+    # Past the digit limit, built by map: a strategy's repr prints its values.
+    st.sampled_from([4300, 5000, -5000]).map(lambda e: 10**e if e > 0 else -(10**-e)),
     st.floats(),
     st.text(max_size=6),
     st.binary(max_size=4),
     st.none(),
     st.sampled_from(_ENUMS),
     st.sampled_from([member.value for member in _ENUMS]),
+    st.integers(min_value=-3, max_value=2000).map(_Int),
+    st.text(max_size=6).map(_Str),
 )
-_JUNK = st.one_of(_JUNK, st.lists(_JUNK, max_size=3))
+
+
+def _mix(*strategies):
+    """Each of `strategies` as often (st.one_of weighs each of their branches alike)."""
+    return st.sampled_from(strategies).flatmap(lambda strategy: strategy)
+
+
+# Containers of junk or of short text (labels are a container of str), and
+# the reading records built with junk fields.
+_CONTAINERS = st.one_of(
+    *(
+        kind(items, max_size=4)
+        for items in (_SCALARS, st.text(max_size=3))
+        for kind in (st.lists, st.sets, st.frozensets)
+    ),
+    st.dictionaries(st.one_of(_SCALARS, st.text(max_size=3)), _SCALARS, max_size=4),
+)
+_FIELD = _mix(_SCALARS, _CONTAINERS)
+_COMPONENT = st.builds(RankComponent, _FIELD, _FIELD)
+_GROUP = st.builds(
+    Group, _FIELD, _FIELD, _mix(st.lists(_COMPONENT, min_size=1, max_size=3).map(tuple), _FIELD)
+)
+_READING = st.builds(
+    NumberReading, _FIELD, _mix(st.lists(_GROUP, min_size=1, max_size=3).map(tuple), _FIELD)
+)
+_JUNK = _mix(_SCALARS, _CONTAINERS, st.one_of(_READING, _GROUP, _COMPONENT))
 
 # One well-formed call per public function, all its positional arguments
 # given.  A drawn call makes some of them junk and keeps the rest, so it gets
@@ -207,6 +245,7 @@ def test_cli_exits_0_1_or_2_and_reads_numbers_strictly(drawn):
 
 W = DigitScript.WESTERN
 A = Alphabet.ARABIC
+_FIVE = decompose(5).groups[0].components
 
 
 @pytest.mark.parametrize(
@@ -257,6 +296,20 @@ A = Alphabet.ARABIC
          "reading.groups must be a tuple of Group, not list"),
         (lambda: abjadnum.format_reading(abjadnum.NumberReading(1, [1, 2]), "ltr"), ValueError,
          "reading.groups must be a tuple of Group, not list"),
+        (lambda: abjadnum.format_reading(decompose(5), "rtl", {"a"}), ValueError,
+         "labels must be a tuple of str, not set"),
+        (lambda: abjadnum.format_reading(decompose(5), "rtl", {"a": 1}), ValueError,
+         "labels must be a tuple of str, not dict"),
+        (lambda: abjadnum.format_reading(NumberReading(5, (Group(5, 5, _FIVE),))), ValueError,
+         "reading.groups must be a tuple of Group, not tuple"),
+        (lambda: abjadnum.format_reading(NumberReading(5, (Group("x", 5, _FIVE),))), ValueError,
+         "reading.groups must be a tuple of Group, not tuple"),
+        (lambda: abjadnum.format_reading(NumberReading(5, (Group(0, 5, 5),))), ValueError,
+         "reading.groups must be a tuple of Group, not tuple"),
+        (lambda: abjadnum.format_reading(NumberReading(3, {1, 2}), "ltr"), ValueError,
+         "reading.groups must be a tuple of Group, not set"),
+        (lambda: abjadnum.format_reading(NumberReading(1, (Group(0, 10**5000, ()),)), "ltr"),
+         ValueError, "reading.groups must be a tuple of Group, not tuple"),
     ],
     ids=["digit_provenance", "render_digits", "parse_digits", "transliterate-src",
          "transliterate-dst", "gematria-ignore", "letter_by_value-str",
@@ -265,9 +318,53 @@ A = Alphabet.ARABIC
          "format_reading-bytes-labels", "format_reading-int-labels",
          "format_reading-huge-labels", "letter_by_value-huge-list", "format_reading-str-labels",
          "format_reading-none-groups", "format_reading-int-groups",
-         "format_reading-int-groups-ltr"],
+         "format_reading-int-groups-ltr", "format_reading-set-labels",
+         "format_reading-dict-labels", "format_reading-group-index-5",
+         "format_reading-group-index-str", "format_reading-int-components",
+         "format_reading-set-groups-ltr", "format_reading-huge-group-value-ltr"],
 )
 def test_a_wrong_argument_type_is_a_value_error(call, error, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert (type(exc.value), str(exc.value)) == (error, message)
+
+
+# -- the one resolver of enum arguments ---------------------------------------
+
+_KINDS = {Alphabet: "an Alphabet", DigitScript: "a DigitScript"}
+# (function, index, name, enum) for each enum parameter of each public function.
+_ENUM_PARAMETERS = [
+    (fn, index, param.name, param.annotation)
+    for fn in _WELL_FORMED
+    for index, param in enumerate(inspect.signature(fn).parameters.values())
+    if param.annotation in _KINDS
+]
+
+
+def test_every_enum_parameter_is_found():
+    found = sorted(f"{fn.__name__}.{name}" for fn, _, name, _ in _ENUM_PARAMETERS)
+    assert found == [
+        "decode.alphabet", "digit_provenance.script", "encode.alphabet", "gematria.alphabet",
+        "letter_by_value.alphabet", "letters.alphabet", "max_letter_value.alphabet",
+        "parse_digits.script", "render_digits.script", "transliterate.dst",
+        "transliterate.src",
+    ]
+
+
+@pytest.mark.parametrize(
+    "fn, index, name, enum",
+    _ENUM_PARAMETERS,
+    ids=[f"{fn.__name__}-{name}" for fn, _, name, _ in _ENUM_PARAMETERS],
+)
+@pytest.mark.parametrize("bad", ["value", "list", "other-enum", "none"])
+def test_a_wrong_enum_argument_names_its_parameter(fn, index, name, enum, bad):
+    member = _WELL_FORMED[fn][index]
+    other = DigitScript.WESTERN if enum is Alphabet else Alphabet.ARABIC
+    value = {"value": member.value, "list": [member], "other-enum": other, "none": None}[bad]
+    args = list(_WELL_FORMED[fn])
+    args[index] = value
+    with pytest.raises(ValueError) as exc:
+        fn(*args)
+    assert (type(exc.value), str(exc.value)) == (
+        ValueError, f"{name} must be {_KINDS[enum]}, not {type(value).__name__}"
+    )
