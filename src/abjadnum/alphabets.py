@@ -21,8 +21,17 @@ ABJADI_SEQUENCE = tuple(
 
 
 class Alphabet(Enum):
+    """The two alphabets whose letters carry the values.
+
+    Members are singletons and compare by identity, so an identity hash
+    agrees with ``==``; it is computed in C, where ``Enum.__hash__`` is a
+    Python call, and every table keyed by an alphabet pays it per lookup.
+    """
+
     ARABIC = "arabic"
     HEBREW = "hebrew"
+
+    __hash__ = object.__hash__
 
 
 class Letter(namedtuple("Letter", "codepoint variants name value order alphabet")):

@@ -33,9 +33,18 @@ from .errors import InvalidGlyph, check_int, check_text, decimal, digit_limit, l
 
 
 class DigitScript(Enum):
+    """The three digit scripts.
+
+    Members are singletons and compare by identity, so an identity hash
+    agrees with ``==``; it is computed in C, where ``Enum.__hash__`` is a
+    Python call, and every table keyed by a script pays it per lookup.
+    """
+
     WESTERN = "western"
     MASHREKI_EASTERN = "mashreki"
     ORIGINAL_MAGHREBI = "original"
+
+    __hash__ = object.__hash__
 
 
 _GLYPHS = {

@@ -132,7 +132,10 @@ def format_reading(
                 if not components:
                     continue
                 spoken = _SPOKEN.get(id(components)) or _speak(components)
-                label = labels[group.index]
+                index = group.index
+                if index < 0 or index is True or index is False:
+                    raise TypeError
+                label = labels[index]
                 parts.append(f"{spoken} {label}" if label else spoken)
             joiner = " et " if figure_exact else " ; "
             return joiner.join(parts) if parts else "0"
@@ -141,11 +144,15 @@ def format_reading(
             for group in reversed(groups):
                 if group.value == 0:
                     continue
-                label = labels[group.index]
+                index = group.index
+                if index < 0 or index is True or index is False:
+                    raise TypeError
+                label = labels[index]
                 parts.append(f"{group.value} {label}" if label else str(group.value))
             return " ".join(parts) if parts else "0"
     except (AttributeError, IndexError, TypeError, ValueError):
-        # A group that is not a Group, or one whose index picks no label, whose
-        # components are not RankComponents or whose value has too many digits.
+        # A group that is not a Group, or one whose index is negative, a bool,
+        # not usable as a position or past the labels, whose components are not
+        # RankComponents or whose value has too many digits.
         raise wrong_type("reading.groups", "a tuple of Group", groups) from None
     raise ValueError(f"direction must be {RIGHT_TO_LEFT!r} or {LEFT_TO_RIGHT!r}")

@@ -274,3 +274,22 @@ def _hand_built(components):
 def test_hand_built_components_are_spoken_as_they_are(reading, spoken):
     decompose(2)
     assert format_reading(reading, "rtl") == spoken
+
+
+@pytest.mark.parametrize("direction", ["rtl", "ltr"])
+@pytest.mark.parametrize("index", [-1, -4, True, False], ids=["-1", "-4", "True", "False"])
+def test_a_group_index_is_a_non_negative_int(index, direction):
+    # A negative index would pick a label from the end ("5 milliards"), and a
+    # bool would pass as 0 or 1 ("5 mille").
+    reading = NumberReading(5, (Group(index, 5, decompose(5).groups[0].components),))
+    with pytest.raises(ValueError) as exc:
+        format_reading(reading, direction)
+    assert (type(exc.value), str(exc.value)) == (
+        ValueError, "reading.groups must be a tuple of Group, not tuple"
+    )
+
+
+@pytest.mark.parametrize("direction", ["rtl", "ltr"])
+def test_a_hand_built_group_index_picks_its_label(direction):
+    reading = NumberReading(5000, (Group(1, 5, decompose(5).groups[0].components),))
+    assert format_reading(reading, direction) == "5 mille"
