@@ -99,7 +99,8 @@ def format_reading(
     group's scale label; groups are separated by " ; ", or joined with
     " et " throughout when figure_exact is set.  Left-to-right emits each
     nonzero group's value and label from the most significant group down.
-    Zero is "0" either way.
+    Zero is "0" either way.  Each group's index, a non-negative int (not a
+    bool), is the position of its label.
     """
     try:
         groups = reading.groups
@@ -128,26 +129,26 @@ def format_reading(
         if direction == RIGHT_TO_LEFT:
             parts = []
             for group in groups:
-                components = group.components
-                if not components:
-                    continue
-                spoken = _SPOKEN.get(id(components)) or _speak(components)
                 index = group.index
                 if index < 0 or index is True or index is False:
                     raise TypeError
                 label = labels[index]
+                components = group.components
+                if not components:
+                    continue
+                spoken = _SPOKEN.get(id(components)) or _speak(components)
                 parts.append(f"{spoken} {label}" if label else spoken)
             joiner = " et " if figure_exact else " ; "
             return joiner.join(parts) if parts else "0"
         if direction == LEFT_TO_RIGHT:
             parts = []
             for group in reversed(groups):
-                if group.value == 0:
-                    continue
                 index = group.index
                 if index < 0 or index is True or index is False:
                     raise TypeError
                 label = labels[index]
+                if group.value == 0:
+                    continue
                 parts.append(f"{group.value} {label}" if label else str(group.value))
             return " ".join(parts) if parts else "0"
     except (AttributeError, IndexError, TypeError, ValueError):

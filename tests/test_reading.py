@@ -277,11 +277,14 @@ def test_hand_built_components_are_spoken_as_they_are(reading, spoken):
 
 
 @pytest.mark.parametrize("direction", ["rtl", "ltr"])
+@pytest.mark.parametrize("value", [5, 0])
 @pytest.mark.parametrize("index", [-1, -4, True, False], ids=["-1", "-4", "True", "False"])
-def test_a_group_index_is_a_non_negative_int(index, direction):
+def test_a_group_index_is_a_non_negative_int(index, value, direction):
     # A negative index would pick a label from the end ("5 milliards"), and a
-    # bool would pass as 0 or 1 ("5 mille").
-    reading = NumberReading(5, (Group(index, 5, decompose(5).groups[0].components),))
+    # bool would pass as 0 or 1 ("5 mille").  A zero group, which says nothing,
+    # has its index checked too.
+    group = Group(index, value, decompose(value).groups[0].components)
+    reading = NumberReading(value, (group,))
     with pytest.raises(ValueError) as exc:
         format_reading(reading, direction)
     assert (type(exc.value), str(exc.value)) == (
