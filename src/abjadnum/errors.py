@@ -22,8 +22,8 @@ def lookup(table: dict, key, name: str, kind: str):
 
     Alphabet and DigitScript hash by identity, so an enum argument costs one
     C-level hash and one dict probe; against Enum's Python-level hash, that
-    took encode to 0.82-0.86x, transliterate to 0.74-0.80x and
-    digit_provenance to 0.67-0.76x of their time on CPython 3.10-3.13.
+    took encode to 0.83-0.90x, transliterate to 0.78-0.80x and
+    digit_provenance to 0.66-0.75x of their time on CPython 3.10-3.13.
     """
     try:
         return table[key]
