@@ -3,11 +3,11 @@
 Results print bare to stdout (or as one JSON object with --json); domain
 errors print to stderr as ``ERROR <code>: <detail>`` and exit 1; bad usage
 exits 2.  The input comes from the final positional argument, or stdin
-when it is absent.
+when it is absent.  ``json`` is imported only for --json output, so a
+plain call does not pay for loading it.
 """
 
 import argparse
-import json
 import sys
 from enum import Enum
 
@@ -148,7 +148,11 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
-    print(json.dumps(_plain(payload), ensure_ascii=False) if args.json else text)
+    if args.json:
+        import json
+
+        text = json.dumps(_plain(payload), ensure_ascii=False)
+    print(text)
     return 0
 
 

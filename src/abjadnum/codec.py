@@ -20,7 +20,9 @@ Each alphabet has two tables.  The value table, built at import from the
 letter codepoints, maps a character to its value.  A character it lacks
 goes through its ``__missing__``, the one place the rule above is applied:
 a skipped character is stored as 0, so each is classified once, and
-anything else raises UnknownLetter and is never stored.  The word memo
+anything else raises UnknownLetter and is never stored.  The rule imports
+``unicodedata`` on its first miss, so a text of letters alone never loads
+it.  The word memo
 maps a gematria token to its summed value, so a word that repeats in a
 text is summed once; a miss sums the token through the value table, and a
 token that raises is never stored.  Gematria masks every character of an
@@ -39,7 +41,6 @@ words never repeat is about a third slower, since every token is then
 hashed and stored for nothing.
 """
 
-import unicodedata
 from collections import namedtuple
 
 from .alphabets import (
@@ -125,6 +126,8 @@ class _Values(dict):
         self.alphabet = alphabet
 
     def __missing__(self, ch: str) -> int:
+        import unicodedata  # loaded here, on the first miss, not at import
+
         if ch.isspace() or ch == _TATWEEL or unicodedata.combining(ch):
             self[ch] = 0
             return 0

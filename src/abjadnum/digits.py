@@ -10,7 +10,8 @@ say together with the script tag.
 
 Each digit of each script descends from one Arabic or Hebrew letter; the
 provenance table ships as a TSV next to this module (script, digit, source
-alphabet, source letter name, transformation note).
+alphabet, source letter name, transformation note).  It is read on the
+first ``digit_provenance`` call, not at import.
 
 Rendering and transliteration go through ``str.translate`` tables built at
 import, one per script pair.  A text is first checked with ``str.lstrip``
@@ -76,21 +77,33 @@ class DigitProvenance(namedtuple("DigitProvenance", "digit script alphabet lette
     __slots__ = ()
 
 
-def _load_provenance() -> dict[DigitScript, dict[int, DigitProvenance]]:
-    table = {}
-    for script, digit, alphabet, letter_name, note in _rows("digit_provenance"):
-        entry = DigitProvenance(
-            digit=int(digit),
-            script=DigitScript(script),
-            alphabet=Alphabet(alphabet),
-            letter=letter_by_name(Alphabet(alphabet), letter_name),
-            note=note,
-        )
-        table.setdefault(entry.script, {})[entry.digit] = entry
-    return table
+class _Provenance(dict):
+    """Script -> digit -> provenance; the first miss reads the TSV."""
+
+    def __missing__(self, script: DigitScript) -> dict[int, DigitProvenance]:
+        if not self:
+            table = {}
+            for name, digit, alphabet, letter_name, note in _rows("digit_provenance"):
+                entry = DigitProvenance(
+                    digit=int(digit),
+                    script=DigitScript(name),
+                    alphabet=Alphabet(alphabet),
+                    letter=letter_by_name(Alphabet(alphabet), letter_name),
+                    note=note,
+                )
+                table.setdefault(entry.script, {})[entry.digit] = entry
+            # One update publishes the whole table: a concurrent first call
+            # finds it empty, and reads the TSV too, or full, never half filled.
+            self.update(table)
+        # The table may have been filled by another thread since the miss; a
+        # key it still lacks is not a DigitScript.
+        entries = self.get(script)
+        if entries is None:
+            raise KeyError(script)
+        return entries
 
 
-_PROVENANCE = _load_provenance()
+_PROVENANCE = _Provenance()
 
 
 def render_digits(n: int, script: DigitScript) -> str:

@@ -46,7 +46,11 @@ def _copies(member):
 
 def _enum_tables():
     """name -> table for each module-level dict of alphabets, codec and digits
-    keyed by an enum, and each to_dst table of digits._TRANSLATE."""
+    keyed by an enum, and each to_dst table of digits._TRANSLATE.
+
+    digits._PROVENANCE is filled on first use, so one call fills it first:
+    run alone, this module would otherwise find it empty and skip it."""
+    digit_provenance(0, DigitScript.WESTERN)
     tables = {
         f"{module.__name__.rsplit('.', 1)[1]}.{name}": value
         for module in (alphabets, codec, digits)
