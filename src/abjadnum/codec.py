@@ -22,23 +22,22 @@ goes through its ``__missing__``, the one place the rule above is applied:
 a skipped character is stored as 0, so each is classified once, and
 anything else raises UnknownLetter and is never stored.  The rule imports
 ``unicodedata`` on its first miss, so a text of letters alone never loads
-it.  The word memo
-maps a gematria token to its summed value, so a word that repeats in a
-text is summed once; a miss sums the token through the value table, and a
-token that raises is never stored.  Gematria masks every character of an
-``ignore`` set with the tatweel before it splits the phrase.  The tokens
-keep their places (one made only of ignored characters counts 0), an
-ignored letter counts 0, and neither table sees an ignored character: the
-memo stores the masked token.  The memo is emptied when it reaches 2**14
-words, and a token longer than 64 codepoints is summed but not stored.  At
-that bound, measured with tracemalloc on CPython 3.11, a full memo of
-8-letter words holds about 2.0 MiB and, at worst (64-codepoint tokens
-stored four bytes a codepoint), about 6.1 MiB.  Both bounds are chosen,
-not tuned.  Timed against summing every token (CPython 3.11, a shared
-2-vCPU VM), Zipf-distributed text is faster even when its vocabulary is 16
-times the cap, so that the memo keeps emptying and refilling; text whose
-words never repeat is about a third slower, since every token is then
-hashed and stored for nothing.
+it.  The word memo maps a gematria token to its summed value, so a word
+that repeats in a text is summed once; a miss sums the token through the
+value table, and a token that raises is never stored.  Gematria masks
+every character of an ``ignore`` set with the tatweel before it splits the
+phrase.  The tokens keep their places (one made only of ignored characters
+counts 0), an ignored letter counts 0, and neither table sees an ignored
+character: the memo stores the masked token.  The memo is emptied when it
+reaches 2**14 words, and a token longer than 64 codepoints is summed but
+not stored.  At that bound, measured with tracemalloc on CPython 3.11, a
+full memo of 8-letter words holds about 2.0 MiB and, at worst
+(64-codepoint tokens stored four bytes a codepoint), about 6.1 MiB.  Both
+bounds are chosen, not tuned.  Timed against summing every token (CPython
+3.11, a shared 2-vCPU VM), Zipf-distributed text is faster even when its
+vocabulary is 16 times the cap, so that the memo keeps emptying and
+refilling; text whose words never repeat is about a third slower, since
+every token is then hashed and stored for nothing.
 """
 
 from collections import namedtuple

@@ -68,7 +68,6 @@ print(repr(dict(
     preloaded=sorted(before & DEFERRED),
     imported=sorted(imported - before),
     cli=sorted(with_cli - before),
-    warm_up=sorted(called - before),
     called=sorted(set(sys.modules) - called),
     filled_at_import=filled_at_import,
     filled=sum(map(len, digits._PROVENANCE.values())),
@@ -132,38 +131,42 @@ def test_the_not_a_script_message_is_the_lookup_message():
 
 _CONCURRENT = """\
 import sys, threading
-sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
 from abjadnum import Alphabet, DigitScript, decode, digit_provenance, digits
 
 THREADS, ROUNDS = 8, 200
 WORDS = "بِسْمِ اللّٰهِ".split()
 PAIRS = [(script, digit) for script in DigitScript for digit in range(10)]
-barrier = threading.Barrier(THREADS)
-results, errors = [], []
+barrier = threading.Barrier(THREADS, timeout=60)
+results, errors, stuck = [], [], 0
 
 def first_use():
     barrier.wait()
     try:
         results.append(([digit_provenance(d, s) for s, d in PAIRS],
                         [decode(word, Alphabet.ARABIC) for word in WORDS]))
-    except BaseException as err:
+    except Exception as err:
         errors.append(repr(err))
 
 # Round 0 is the first use of everything; each later round empties the
 # provenance table, so that its first use races again.
-for round_ in range(ROUNDS):
-    if round_:
-        digits._PROVENANCE.clear()
-    threads = [threading.Thread(target=first_use) for _ in range(THREADS)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-sys.setswitchinterval(0.005)
+sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+try:
+    for round_ in range(ROUNDS):
+        if round_:
+            digits._PROVENANCE.clear()
+        threads = [threading.Thread(target=first_use) for _ in range(THREADS)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            stuck += thread.is_alive()
+finally:
+    sys.setswitchinterval(0.005)
 alone = ([digit_provenance(d, s) for s, d in PAIRS],
          [decode(word, Alphabet.ARABIC) for word in WORDS])
 print(repr(dict(
     errors=sorted(set(errors)),
+    stuck=stuck,
     calls=len(results) + len(errors),
     differing=sum(result != alone for result in results),
     pairs=len(alone[0]),
@@ -174,4 +177,6 @@ print(repr(dict(
 
 def test_a_concurrent_first_use_sees_whole_tables():
     seen = ast.literal_eval(_fresh(_CONCURRENT))
-    assert seen == dict(errors=[], calls=8 * 200, differing=0, pairs=30, words=[102, 66])
+    assert seen == dict(
+        errors=[], stuck=0, calls=8 * 200, differing=0, pairs=30, words=[102, 66]
+    )
