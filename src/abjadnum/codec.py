@@ -41,6 +41,7 @@ every token is then hashed and stored for nothing.
 """
 
 from collections import namedtuple
+from operator import itemgetter
 
 from .alphabets import (
     ABJADI_SEQUENCE,
@@ -149,24 +150,41 @@ _MEMO_TOKEN_LEN = 64
 
 
 class _Words(dict):
-    """Token -> summed value in one alphabet; a miss sums the token's letters."""
+    """Token -> (token, summed value) in one alphabet; a miss sums the token's letters.
 
-    __slots__ = ("value_of",)
+    `ignore` is the set of characters the value table counts 0 beyond the
+    skip rule: "" for the plain memo.
+    """
 
-    def __init__(self, values: _Values):
+    __slots__ = ("value_of", "ignore")
+
+    def __init__(self, values: _Values, ignore: str = ""):
         super().__init__()
         self.value_of = values.__getitem__
+        self.ignore = ignore
 
-    def __missing__(self, token: str) -> int:
-        value = sum(map(self.value_of, token))  # UnknownLetter: nothing is stored
+    def __missing__(self, token: str) -> tuple[str, int]:
+        entry = token, sum(map(self.value_of, token))  # UnknownLetter: nothing is stored
         if len(token) <= _MEMO_TOKEN_LEN:
             if len(self) >= _MEMO_ENTRIES:
                 self.clear()
-            self[token] = value
-        return value
+            self[token] = entry
+        return entry
 
 
 _WORDS = {alphabet: _Words(values) for alphabet, values in _VALUES.items()}
+
+# _IGNORING[alphabet] is the memo of the last nonempty ignore set gematria
+# was called with in that alphabet.  It starts as the plain memo, whose
+# ignore "" no call with a set matches.
+_IGNORING = dict(_WORDS)
+
+_VALUE = itemgetter(1)  # the value of a memo entry
+
+# CPython keeps one empty str, so the default and every "" a caller passes
+# take gematria's fast path with one identity check.  Any other value, an
+# empty str subclass included, is checked and made an exact str first.
+_NO_IGNORE = ""
 
 
 def decode(word: str, alphabet: Alphabet, strict: bool = False) -> int:
@@ -199,16 +217,13 @@ def gematria(phrase: str, alphabet: Alphabet, ignore: str = "") -> GematriaResul
     """
     check_text("phrase", phrase)
     words = lookup(_WORDS, alphabet, "alphabet", "an Alphabet")
-    tokens = keys = phrase.split()
-    if ignore != "":  # not `if ignore`: a falsy non-str such as 0 is rejected too
+    if ignore is not _NO_IGNORE:
         check_text("ignore", ignore)
-        # One codepoint for one codepoint, whitespace untouched: the masked
-        # phrase splits exactly where the phrase does.  Whitespace in
-        # `ignore` already splits and counts 0.
-        masked = phrase
-        for ch in ignore:
-            if not ch.isspace():
-                masked = masked.replace(ch, _TATWEEL)
-        keys = masked.split()
-    values = list(map(words.__getitem__, keys))
-    return tuple.__new__(GematriaResult, (sum(values), tuple(zip(tokens, values))))
+        ignore = str.__str__(ignore)  # an exact str: a subclass's methods are never called
+        if ignore:
+            words = _IGNORING[alphabet]
+            if words.ignore != ignore:
+                values = {**_VALUES[alphabet], **dict.fromkeys(ignore, 0)}
+                words = _IGNORING[alphabet] = _Words(_Values(alphabet, values), ignore)
+    per_word = tuple(map(words.__getitem__, phrase.split()))
+    return tuple.__new__(GematriaResult, (sum(map(_VALUE, per_word)), per_word))

@@ -9,6 +9,8 @@ once each, and pins what encode() must return.
 
 import itertools
 import random
+import sys
+import threading
 import unicodedata
 
 import pytest
@@ -269,15 +271,17 @@ def test_table_caches_skipped_characters_only():
 
 
 class TestWordMemo:
-    def test_entries_never_exceed_the_cap(self):
-        words = codec._WORDS[Alphabet.ARABIC]
+    @pytest.mark.parametrize("ignore", ["", "!"])
+    def test_entries_never_exceed_the_cap(self, ignore):
+        gematria("", Alphabet.ARABIC, ignore)
+        words = codec._IGNORING[Alphabet.ARABIC] if ignore else codec._WORDS[Alphabet.ARABIC]
         alif, ba, jim, dal = "\u0627\u0628\u062c\u062f"
         tokens = ["".join(t) for t in itertools.product((alif, ba, jim, dal), repeat=8)]
         tokens = tokens[: 2**15 // 2] + [t + "\u0647" for t in tokens[: 2**15 // 2]]
         assert len(set(tokens)) == 2**15
         most = 0
         for token in tokens:
-            assert gematria(token, Alphabet.ARABIC).total == decode(token, Alphabet.ARABIC)
+            assert gematria(token, Alphabet.ARABIC, ignore).total == decode(token, Alphabet.ARABIC)
             most = max(most, len(words))
             assert len(words) <= codec._MEMO_ENTRIES
         assert most == codec._MEMO_ENTRIES
@@ -286,7 +290,7 @@ class TestWordMemo:
         words = codec._WORDS[Alphabet.ARABIC]
         longest = "\u0628" * codec._MEMO_TOKEN_LEN
         assert gematria(longest, Alphabet.ARABIC).total == 2 * codec._MEMO_TOKEN_LEN
-        assert words.get(longest) == 2 * codec._MEMO_TOKEN_LEN
+        assert words.get(longest) == (longest, 2 * codec._MEMO_TOKEN_LEN)
         for token in ("\u0628" * (codec._MEMO_TOKEN_LEN + 1), "\u0627" * 10_000):
             assert gematria(token, Alphabet.ARABIC).total == decode(token, Alphabet.ARABIC)
             assert token not in words
@@ -298,7 +302,7 @@ class TestWordMemo:
                 with pytest.raises(UnknownLetter):
                     gematria(phrase, Alphabet.HEBREW)
             assert bad not in words
-        assert words.get("\u05d0") == 1  # the token before the bad one is stored
+        assert words.get("\u05d0") == ("\u05d0", 1)  # the token before the bad one is stored
 
     def test_an_ignored_character_never_reaches_the_memo(self):
         assert gematria("\u0627!", Alphabet.ARABIC, ignore="!") == (1, (("\u0627!", 1),))
@@ -306,6 +310,44 @@ class TestWordMemo:
             assert not any("!" in key for key in table)
         with pytest.raises(UnknownLetter):
             gematria("\u0627!", Alphabet.ARABIC)
+
+    def test_an_ignore_call_leaves_the_shared_tables_alone(self):
+        words, values = codec._WORDS[Alphabet.ARABIC], codec._VALUES[Alphabet.ARABIC]
+        words.clear()
+        before = dict(values)
+        # Punctuation, a letter, a harakah, whitespace and a mark the skip rule
+        # has not met yet, each ignored in turn and then all at once.
+        phrases = ["\u0627\u0628! \u062c\u064e\u060c \u1ab1\u062f", "\u0627 \u0627\u0627! \u1ab1"]
+        for ignore in ("!\u060c", "\u0627!\u060c", "\u064e!\u060c", " !\u060c", "!\u060c\u0627\u064e \u1ab1"):
+            for phrase in phrases:
+                assert _outcome(gematria, phrase, Alphabet.ARABIC, ignore) == _outcome(
+                    _reference_gematria, phrase, Alphabet.ARABIC, ignore
+                )
+        assert not words
+        assert dict(values) == before
+        assert gematria("\u0627", Alphabet.ARABIC).total == 1
+        with pytest.raises(UnknownLetter):
+            gematria("\u0627!", Alphabet.ARABIC)
+
+    @pytest.mark.parametrize("ignore", ["", "!"])
+    def test_a_repeated_word_is_the_memos_entry(self, ignore):
+        ahmad = "\u0627\u062d\u0645\u062f" + ignore
+        phrase = f"{ahmad} \u0632\u064a\u0646\u0628 {ahmad}"
+        first, _, third = gematria(phrase, Alphabet.ARABIC, ignore).per_word
+        memo = codec._IGNORING[Alphabet.ARABIC] if ignore else codec._WORDS[Alphabet.ARABIC]
+        assert memo.ignore == ignore
+        assert first is third is memo[first[0]]
+        assert first[0] is next(key for key in memo if key == first[0])
+        assert gematria(phrase, Alphabet.ARABIC, ignore).per_word[0] is first
+
+    def test_each_alphabet_keeps_the_last_ignore_set(self):
+        for ignore in ("!", "\u060c", "!"):
+            gematria("\u0627!\u060c", Alphabet.ARABIC, ignore="!\u060c")
+            gematria("\u05d0", Alphabet.HEBREW, ignore=ignore)
+            assert codec._IGNORING[Alphabet.ARABIC].ignore == "!\u060c"
+            assert codec._IGNORING[Alphabet.HEBREW].ignore == ignore
+        gematria("\u05d0", Alphabet.HEBREW)  # no set: the memo of the last one stays
+        assert codec._IGNORING[Alphabet.HEBREW].ignore == "!"
 
 
 _arabic_word = st.lists(
@@ -403,13 +445,107 @@ _ignore_sets = st.text(
 @given(_codec_text, st.sampled_from(list(Alphabet)), _ignore_sets)
 def test_codec_matches_the_per_character_rule(text, alphabet, ignore):
     expected = _outcome(_reference_gematria, text, alphabet, ignore)
-    codec._WORDS[alphabet].clear()  # the first call misses the word memo, the second hits it
+    # The first call misses the word memo, the second hits it.
+    codec._WORDS[alphabet].clear()
+    codec._IGNORING[alphabet].clear()
     for _ in range(2):
         assert _outcome(gematria, text, alphabet, ignore) == expected
     for strict in (False, True):
         assert _outcome(decode, text, alphabet, strict) == _outcome(
             _reference_decode, text, alphabet, strict
         )
+
+
+# A few fixed sets recur within one sequence, so the ignore-set memo is
+# both kept and replaced between calls.
+_recurring_ignore_sets = st.one_of(
+    st.sampled_from(["", "!", "!،", "ا", "َب", "ה "]), _ignore_sets
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(_codec_text, st.sampled_from(list(Alphabet)), _recurring_ignore_sets), max_size=8))
+def test_a_sequence_of_calls_matches_the_per_character_rule(calls):
+    for text, alphabet, ignore in calls:
+        assert _outcome(gematria, text, alphabet, ignore) == _outcome(
+            _reference_gematria, text, alphabet, ignore
+        )
+
+
+class _Sly(str):
+    """A str whose comparisons lie: equal to everything, unequal to nothing."""
+
+    def __eq__(self, other):
+        return True
+
+    def __ne__(self, other):
+        return False
+
+    __hash__ = str.__hash__
+
+
+class _Hollow(str):
+    """A str that iterates as nothing and hashes as the empty str."""
+
+    def __iter__(self):
+        return iter(())
+
+    def __hash__(self):
+        return hash("")
+
+
+@pytest.mark.parametrize("kind", [_Sly, _Hollow])
+def test_an_ignore_set_of_a_str_subclass_is_applied_as_its_characters(kind):
+    for _ in range(2):  # the second call finds the memo the first one made
+        result = gematria("ا! ب", Alphabet.ARABIC, ignore=kind("!"))
+        assert result == (3, (("ا!", 1), ("ب", 2)))
+        assert type(codec._IGNORING[Alphabet.ARABIC].ignore) is str
+    # An empty one ignores nothing.
+    with pytest.raises(UnknownLetter):
+        gematria("ا!", Alphabet.ARABIC, ignore=kind(""))
+
+
+def test_threads_with_their_own_ignore_sets_share_one_alphabet():
+    marks = "!?.،؛"
+    sets = ["!", "?", ".", "،", "؛", "!?", "ا.", "ب،؛"]
+    rng = random.Random(14)
+    words = [letter.codepoint for letter in letters(Alphabet.ARABIC)]
+    phrases = [
+        " ".join(
+            "".join(rng.choices(words, k=rng.randint(1, 5))) + rng.choice(["", "", *marks])
+            for _ in range(rng.randint(1, 6))
+        )
+        for _ in range(40)
+    ]
+    phrases += ["ا ب", "ا! ب? ا. ب،"]
+    expected = {
+        (phrase, ignore): _outcome(_reference_gematria, phrase, Alphabet.ARABIC, ignore)
+        for phrase in phrases
+        for ignore in sets
+    }
+    barrier = threading.Barrier(len(sets))
+    wrong = []
+
+    def work(ignore):
+        barrier.wait()
+        for _ in range(25):
+            for phrase in phrases:
+                got = _outcome(gematria, phrase, Alphabet.ARABIC, ignore)
+                if got != expected[phrase, ignore]:
+                    wrong.append((phrase, ignore, got))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(ignore,)) for ignore in sets]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not wrong
+    assert codec._IGNORING[Alphabet.ARABIC].ignore in sets
 
 
 def _reference_encode(n, alphabet):
