@@ -16,28 +16,40 @@ UnknownLetter: "not a letter of either alphabet" when no alphabet has it,
 "not a <alphabet> letter" when only the other one does.  Zero-width
 joiners and other format characters are not skipped.
 
-Each alphabet has two tables.  The value table, built at import from the
-letter codepoints, maps a character to its value.  A character it lacks
-goes through its ``__missing__``, the one place the rule above is applied:
-a skipped character is stored as 0, so each is classified once, and
-anything else raises UnknownLetter and is never stored.  The rule imports
-``unicodedata`` on its first miss, so a text of letters alone never loads
-it.  The word memo maps a gematria token to its summed value, so a word
-that repeats in a text is summed once; a miss sums the token through the
-value table, and a token that raises is never stored.  Gematria masks
-every character of an ``ignore`` set with the tatweel before it splits the
-phrase.  The tokens keep their places (one made only of ignored characters
-counts 0), an ignored letter counts 0, and neither table sees an ignored
-character: the memo stores the masked token.  The memo is emptied when it
-reaches 2**14 words, and a token longer than 64 codepoints is summed but
-not stored.  At that bound, measured with tracemalloc on CPython 3.11, a
-full memo of 8-letter words holds about 2.0 MiB and, at worst
-(64-codepoint tokens stored four bytes a codepoint), about 6.1 MiB.  Both
-bounds are chosen, not tuned.  Timed against summing every token (CPython
-3.11, a shared 2-vCPU VM), Zipf-distributed text is faster even when its
-vocabulary is 16 times the cap, so that the memo keeps emptying and
-refilling; text whose words never repeat is about a third slower, since
-every token is then hashed and stored for nothing.
+Each alphabet has a value table and a word memo.  The value table, built
+at import from the letter codepoints, maps a character to its value.  A
+character it lacks goes through its ``__missing__``, the one place the
+rule above is applied: a skipped character is stored as 0, so each is
+classified once, and anything else raises UnknownLetter and is never
+stored.  The rule imports ``unicodedata`` on its first miss, so a text of
+letters alone never loads it.  The word memo maps a gematria token to its
+finished ``per_word`` entry, the pair ``(token, value)``, whose first field
+is the key itself.  A word that repeats in a text is summed once, and each
+repeat costs one dict lookup and allocates nothing.  A miss sums the token
+through the value table, and a token that raises is never stored.
+
+An ``ignore`` set is summed through a memo of its own, over a copy of the
+value table in which each of its characters, a letter too, counts 0.  Each
+alphabet keeps one such memo, for the last nonempty set gematria was
+called with; a call with another set replaces it.  The tokens keep their
+places (one made only of ignored characters counts 0), and neither shared
+table ever holds an ignored character.  ``ignore`` is checked to be a
+``str`` and then taken as an exact ``str``, so a subclass's own comparison
+or iteration is never called.
+
+Each memo is emptied when it reaches 2**14 words, and a token longer than
+64 codepoints is summed but not stored.  At that bound, measured with
+tracemalloc on CPython 3.10-3.13, a full memo of 8-letter words holds
+2.4-2.9 MiB and, at worst (64-codepoint tokens stored four bytes a
+codepoint), 6.2-6.6 MiB, so an alphabet's two memos hold at most about
+13 MiB.  Both bounds are chosen, not tuned.  Timed against a memo of bare
+values paired with their tokens on every call (CPython 3.10-3.13, a
+shared 2-vCPU VM), text whose words never repeat takes 0.99-1.04 of the
+time without an ignore set and 0.91-0.94 with one.  A text read once,
+cold, takes 0.94-1.00 of the time, and 1.04 on CPython 3.10: a word met
+both with and without an ignore set is summed once in each memo.  A caller
+that alternates two ignore sets on every call takes 2.9-3.1 times as long,
+since each such call builds a new memo and table copy.
 """
 
 from collections import namedtuple

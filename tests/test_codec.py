@@ -271,20 +271,20 @@ def test_table_caches_skipped_characters_only():
 
 
 class TestWordMemo:
-    @pytest.mark.parametrize("ignore", ["", "!"])
-    def test_entries_never_exceed_the_cap(self, ignore):
-        gematria("", Alphabet.ARABIC, ignore)
-        words = codec._IGNORING[Alphabet.ARABIC] if ignore else codec._WORDS[Alphabet.ARABIC]
+    def test_entries_never_exceed_the_cap(self):
         alif, ba, jim, dal = "\u0627\u0628\u062c\u062f"
         tokens = ["".join(t) for t in itertools.product((alif, ba, jim, dal), repeat=8)]
         tokens = tokens[: 2**15 // 2] + [t + "\u0647" for t in tokens[: 2**15 // 2]]
         assert len(set(tokens)) == 2**15
-        most = 0
-        for token in tokens:
-            assert gematria(token, Alphabet.ARABIC, ignore).total == decode(token, Alphabet.ARABIC)
-            most = max(most, len(words))
-            assert len(words) <= codec._MEMO_ENTRIES
-        assert most == codec._MEMO_ENTRIES
+        for ignore in ("", "!"):  # the plain memo, then the ignore set's
+            gematria("", Alphabet.ARABIC, ignore)
+            words = codec._IGNORING[Alphabet.ARABIC] if ignore else codec._WORDS[Alphabet.ARABIC]
+            most = 0
+            for token in tokens:
+                assert gematria(token, Alphabet.ARABIC, ignore).total == decode(token, Alphabet.ARABIC)
+                most = max(most, len(words))
+                assert len(words) <= codec._MEMO_ENTRIES
+            assert most == codec._MEMO_ENTRIES
 
     def test_a_long_token_is_summed_and_not_stored(self):
         words = codec._WORDS[Alphabet.ARABIC]
@@ -305,16 +305,10 @@ class TestWordMemo:
         assert words.get("\u05d0") == ("\u05d0", 1)  # the token before the bad one is stored
 
     def test_an_ignored_character_never_reaches_the_memo(self):
-        assert gematria("\u0627!", Alphabet.ARABIC, ignore="!") == (1, (("\u0627!", 1),))
-        for table in (codec._WORDS[Alphabet.ARABIC], codec._VALUES[Alphabet.ARABIC]):
-            assert not any("!" in key for key in table)
-        with pytest.raises(UnknownLetter):
-            gematria("\u0627!", Alphabet.ARABIC)
-
-    def test_an_ignore_call_leaves_the_shared_tables_alone(self):
         words, values = codec._WORDS[Alphabet.ARABIC], codec._VALUES[Alphabet.ARABIC]
         words.clear()
         before = dict(values)
+        assert gematria("\u0627!", Alphabet.ARABIC, ignore="!") == (1, (("\u0627!", 1),))
         # Punctuation, a letter, a harakah, whitespace and a mark the skip rule
         # has not met yet, each ignored in turn and then all at once.
         phrases = ["\u0627\u0628! \u062c\u064e\u060c \u1ab1\u062f", "\u0627 \u0627\u0627! \u1ab1"]
@@ -325,7 +319,6 @@ class TestWordMemo:
                 )
         assert not words
         assert dict(values) == before
-        assert gematria("\u0627", Alphabet.ARABIC).total == 1
         with pytest.raises(UnknownLetter):
             gematria("\u0627!", Alphabet.ARABIC)
 
@@ -485,13 +478,10 @@ class _Sly(str):
 
 
 class _Hollow(str):
-    """A str that iterates as nothing and hashes as the empty str."""
+    """A str that iterates as nothing."""
 
     def __iter__(self):
         return iter(())
-
-    def __hash__(self):
-        return hash("")
 
 
 @pytest.mark.parametrize("kind", [_Sly, _Hollow])
@@ -527,8 +517,8 @@ def test_threads_with_their_own_ignore_sets_share_one_alphabet():
     wrong = []
 
     def work(ignore):
-        barrier.wait()
-        for _ in range(25):
+        for _ in range(50):  # each round starts all threads at once
+            barrier.wait()
             for phrase in phrases:
                 got = _outcome(gematria, phrase, Alphabet.ARABIC, ignore)
                 if got != expected[phrase, ignore]:
