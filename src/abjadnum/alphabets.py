@@ -11,8 +11,8 @@ import os
 from collections import namedtuple
 from enum import Enum
 
-from .errors import NotAnAbjadiValue, OutOfAlphabetRange, UnknownLetter, check_text, int_text
-from .errors import lookup
+from .errors import NotAnAbjadiValue, OutOfAlphabetRange, UnknownLetter, check_int, check_text
+from .errors import int_text, lookup
 
 # The 28 letter values: units, tens, hundreds, then 1000.
 ABJADI_SEQUENCE = tuple(
@@ -103,15 +103,18 @@ def letter_by_value(alphabet: Alphabet, value: int) -> Letter:
     letter (Hebrew stops at 400).
     """
     by_value = lookup(_BY_VALUE, alphabet, "alphabet", "an Alphabet")
-    # Checked first because True and 1.0 hash like 1 and would find Alif.
-    if isinstance(value, int) and not isinstance(value, bool):
-        if value in by_value:
-            return by_value[value]
-        if value in ABJADI_SEQUENCE:
-            raise OutOfAlphabetRange(
-                f"{value} exceeds the last {alphabet.value} letter value "
-                f"({max_letter_value(alphabet)})"
-            )
+    try:
+        # Read first, as an exact int: True and 1.0 hash like 1 and would find Alif.
+        value = check_int("value", value)
+    except ValueError:
+        raise NotAnAbjadiValue(f"{int_text(value)} is not a letter value") from None
+    if value in by_value:
+        return by_value[value]
+    if value in ABJADI_SEQUENCE:
+        raise OutOfAlphabetRange(
+            f"{value} exceeds the last {alphabet.value} letter value "
+            f"({max_letter_value(alphabet)})"
+        )
     raise NotAnAbjadiValue(f"{int_text(value)} is not a letter value")
 
 
@@ -127,8 +130,8 @@ def letter_by_name(alphabet: Alphabet, name: str) -> Letter:
 
 def letter_for_codepoint(codepoint: str) -> Letter:
     """Resolve a primary or variant codepoint to its letter."""
+    codepoint = check_text("codepoint", codepoint)
     try:
         return _BY_CODEPOINT[codepoint]
-    except (KeyError, TypeError):  # TypeError: an unhashable codepoint
-        check_text("codepoint", codepoint)
+    except KeyError:
         raise UnknownLetter(f"{codepoint!r} is not a letter of either alphabet") from None

@@ -27,7 +27,7 @@ def _round_div(num: int, den: int) -> int:
 
 def hijri_to_gregorian_year(h: int) -> int:
     """Approximate Gregorian year of Hijri year h (may be off by one)."""
-    check_int("h", h)
+    h = check_int("h", h)
     if h < 1:
         raise ValueError("Hijri years start at 1")
     return _round_div(YEAR_RATIO_MILLIONTHS * h + EPOCH_OFFSET_MILLIONTHS, 10**6)
@@ -35,7 +35,7 @@ def hijri_to_gregorian_year(h: int) -> int:
 
 def gregorian_to_hijri_year(g: int) -> int:
     """Approximate Hijri year of Gregorian year g (may be off by one)."""
-    check_int("g", g)
+    g = check_int("g", g)
     if g < HIJRI_EPOCH_CE:
         raise PreEpoch(f"{int_text(g)} CE precedes the first Hijri year ({HIJRI_EPOCH_CE} CE)")
     # 622 CE itself rounds to 0; Hijri years start at 1.

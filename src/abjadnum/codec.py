@@ -33,9 +33,8 @@ value table in which each of its characters, a letter too, counts 0.  Each
 alphabet keeps one such memo, for the last nonempty set gematria was
 called with; a call with another set replaces it.  The tokens keep their
 places (one made only of ignored characters counts 0), and neither shared
-table ever holds an ignored character.  ``ignore`` is checked to be a
-``str`` and then taken as an exact ``str``, so a subclass's own comparison
-or iteration is never called.
+table ever holds an ignored character.  ``ignore``, like every ``str``
+argument, is read as the ``errors`` module docstring says.
 
 Each memo is emptied when it reaches 2**14 words, and a token longer than
 64 codepoints is summed but not stored.  At that bound, measured with
@@ -116,7 +115,7 @@ def encode(n: int, alphabet: Alphabet) -> AbjadNumeral:
     h the letter of value 100h, and for Arabic a thousands part the letter
     of value 1000.  Letters come out in ascending value order.
     """
-    check_int("n", n)
+    n = check_int("n", n)
     if n == 0:
         raise ZeroUnencodable("zero is not a letter value and has no word form")
     limit, units, tens, hundreds, thousands = lookup(
@@ -195,7 +194,7 @@ _VALUE = itemgetter(1)  # the value of a memo entry
 
 # CPython keeps one empty str, so the default and every "" a caller passes
 # take gematria's fast path with one identity check.  Any other value, an
-# empty str subclass included, is checked and made an exact str first.
+# empty str subclass included, goes through check_text.
 _NO_IGNORE = ""
 
 
@@ -206,7 +205,7 @@ def decode(word: str, alphabet: Alphabet, strict: bool = False) -> int:
     mode additionally requires a canonical numeral: strictly ascending
     values, at most one letter per rank band.
     """
-    check_text("word", word)
+    word = check_text("word", word)
     table = lookup(_VALUES, alphabet, "alphabet", "an Alphabet")
     values = list(filter(None, map(table.__getitem__, word)))
     if not values:
@@ -227,11 +226,10 @@ def gematria(phrase: str, alphabet: Alphabet, ignore: str = "") -> GematriaResul
     Codepoints listed in `ignore` (punctuation, typically) are skipped;
     anything else unmapped raises UnknownLetter.
     """
-    check_text("phrase", phrase)
+    phrase = check_text("phrase", phrase)
     words = lookup(_WORDS, alphabet, "alphabet", "an Alphabet")
     if ignore is not _NO_IGNORE:
-        check_text("ignore", ignore)
-        ignore = str.__str__(ignore)  # an exact str: a subclass's methods are never called
+        ignore = check_text("ignore", ignore)
         if ignore:
             words = _IGNORING[alphabet]
             if words.ignore != ignore:

@@ -77,38 +77,28 @@ class DigitProvenance(namedtuple("DigitProvenance", "digit script alphabet lette
     __slots__ = ()
 
 
-class _Provenance(dict):
-    """Script -> digit -> provenance; the first miss reads the TSV."""
-
-    def __missing__(self, script: DigitScript) -> dict[int, DigitProvenance]:
-        if not self:
-            table = {}
-            for name, digit, alphabet, letter_name, note in _rows("digit_provenance"):
-                entry = DigitProvenance(
-                    digit=int(digit),
-                    script=DigitScript(name),
-                    alphabet=Alphabet(alphabet),
-                    letter=letter_by_name(Alphabet(alphabet), letter_name),
-                    note=note,
-                )
-                table.setdefault(entry.script, {})[entry.digit] = entry
-            # One update publishes the whole table: a concurrent first call
-            # finds it empty, and reads the TSV too, or full, never half filled.
-            self.update(table)
-        # The table may have been filled by another thread since the miss; a
-        # key it still lacks is not a DigitScript.
-        entries = self.get(script)
-        if entries is None:
-            raise KeyError(script)
-        return entries
+def _read_provenance() -> dict[DigitScript, dict[int, DigitProvenance]]:
+    """Script -> digit -> provenance, as the TSV lists them."""
+    table = {}
+    for name, digit, alphabet, letter_name, note in _rows("digit_provenance"):
+        entry = DigitProvenance(
+            digit=int(digit),
+            script=DigitScript(name),
+            alphabet=Alphabet(alphabet),
+            letter=letter_by_name(Alphabet(alphabet), letter_name),
+            note=note,
+        )
+        table.setdefault(entry.script, {})[entry.digit] = entry
+    return table
 
 
-_PROVENANCE = _Provenance()
+# Script -> digit -> provenance; empty until the first digit_provenance call.
+_PROVENANCE: dict[DigitScript, dict[int, DigitProvenance]] = {}
 
 
 def render_digits(n: int, script: DigitScript) -> str:
     """Decimal digit string of n in the script's glyphs, big-endian."""
-    check_int("n", n)
+    n = check_int("n", n)
     if n < 0:
         raise ValueError("n must be non-negative")
     table = lookup(_RENDER, script, "script", "a DigitScript")
@@ -117,7 +107,7 @@ def render_digits(n: int, script: DigitScript) -> str:
 
 def parse_digits(text: str, script: DigitScript) -> int:
     """Inverse of render_digits; InvalidGlyph outside the script's glyph set."""
-    check_text("text", text)
+    text = check_text("text", text)
     if not text:
         raise ValueError("empty digit string")
     rest = text.lstrip(lookup(_GLYPHS, script, "script", "a DigitScript"))
@@ -137,7 +127,7 @@ def transliterate(text: str, src: DigitScript, dst: DigitScript) -> str:
     Digit count and positions are preserved; the separators " .,-/" pass
     through unchanged (dates, folio labels).
     """
-    check_text("text", text)
+    text = check_text("text", text)
     accepted, to_dst = lookup(_TRANSLATE, src, "src", "a DigitScript")
     table = lookup(to_dst, dst, "dst", "a DigitScript")
     rest = text.lstrip(accepted)
@@ -148,7 +138,11 @@ def transliterate(text: str, src: DigitScript, dst: DigitScript) -> str:
 
 def digit_provenance(digit: int, script: DigitScript) -> DigitProvenance:
     """Source letter and transformation note of one digit glyph."""
-    check_int("digit", digit)
+    digit = check_int("digit", digit)
     if not 0 <= digit <= 9:
         raise ValueError("digit must be 0..9")
+    if not _PROVENANCE:
+        # One update publishes the whole table: a concurrent first call finds
+        # it empty, and reads the TSV too, or full, never half filled.
+        _PROVENANCE.update(_read_provenance())
     return lookup(_PROVENANCE, script, "script", "a DigitScript")[digit]

@@ -7,6 +7,14 @@ preconditions (empty input, negative counts) raise plain ``ValueError``.
 An argument of the wrong type does too; :func:`lookup` is the one place
 that raises it for an ``Alphabet`` or ``DigitScript`` argument, whose
 member is looked up once per call in a table keyed by that enum.
+
+A ``str`` or ``int`` argument is read by :func:`check_text` or
+:func:`check_int`, and the function computes only on what they return: the
+argument itself when its type is exactly ``str`` or ``int``, and for a
+subclass its plain value (``str.__str__`` or ``int.__index__``).  So a
+subclass answers as its plain value does, and none of its own methods
+(comparison, arithmetic, iteration, ``split``, ``translate``...) runs
+inside the library.
 """
 
 import sys
@@ -31,16 +39,24 @@ def lookup(table: dict, key, name: str, kind: str):
         raise wrong_type(name, kind, key) from None
 
 
-def check_int(name: str, value) -> None:
-    """Raise ValueError naming `name` unless `value` is an int (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise wrong_type(name, "an int", value)
+def check_int(name: str, value) -> int:
+    """`value` as an exact int, or ValueError naming `name` unless it is an int (a bool is not)."""
+    kind = type(value)
+    if kind is int:
+        return value
+    if issubclass(kind, int) and kind is not bool:
+        return int.__index__(value)
+    raise wrong_type(name, "an int", value)
 
 
-def check_text(name: str, value) -> None:
-    """Raise ValueError naming `name` unless `value` is a str."""
-    if not isinstance(value, str):
-        raise wrong_type(name, "a str", value)
+def check_text(name: str, value) -> str:
+    """`value` as an exact str, or ValueError naming `name` unless it is a str."""
+    kind = type(value)
+    if kind is str:
+        return value
+    if issubclass(kind, str):
+        return str.__str__(value)
+    raise wrong_type(name, "a str", value)
 
 
 def digit_limit(name: str, verb: str) -> ValueError:
@@ -54,7 +70,9 @@ def digit_limit(name: str, verb: str) -> ValueError:
 def decimal(n: int, name: str, verb: str) -> str:
     """The decimal digits of int n, or the digit-limit error for `name`."""
     try:
-        return int.__repr__(n)  # digits even where a subclass overrides __str__
+        # Checked arguments are exact ints; int_text's values are not checked,
+        # and a subclass among them must not run its own __repr__ or __str__.
+        return int.__repr__(n)
     except ValueError:  # past the interpreter's int-to-str digit limit
         raise digit_limit(name, verb) from None
 

@@ -15,7 +15,7 @@ keeps alive; any other components (a hand-built group) are spoken afresh.
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .errors import InsufficientLabels, check_int, wrong_type
+from .errors import InsufficientLabels, check_int, check_text, wrong_type
 
 RANKS = ("units", "tens", "hundreds")
 
@@ -74,7 +74,7 @@ _COMPONENTS = _Components()
 
 def decompose(n: int) -> NumberReading:
     """Base-1000 groups of n, least significant first, zero parts omitted."""
-    check_int("n", n)
+    n = check_int("n", n)
     if n < 0:
         raise ValueError("n must be non-negative")
     groups = []
@@ -125,6 +125,7 @@ def format_reading(
         raise wrong_type("labels", "a tuple of str", labels) from None
     if too_few:
         raise InsufficientLabels(f"{count} groups but only {len(labels)} labels")
+    direction = check_text("direction", direction)
     try:
         if direction == RIGHT_TO_LEFT:
             parts = []

@@ -368,3 +368,125 @@ def test_a_wrong_enum_argument_names_its_parameter(fn, index, name, enum, bad):
     assert (type(exc.value), str(exc.value)) == (
         ValueError, f"{name} must be {_KINDS[enum]}, not {type(value).__name__}"
     )
+
+
+# -- one rule reads every str and int argument ---------------------------------
+
+
+class _Called(Exception):
+    """A method of a hostile subclass ran inside the library."""
+
+
+def _raises(name):
+    def method(*args, **kwargs):
+        raise _Called(name)
+
+    return method
+
+
+def _hostile(base, names):
+    """A subclass of `base` whose methods `names` raise _Called.
+
+    It keeps its base's hash, which overriding __eq__ would unset, so it can
+    still be a dict key; its repr is tagged, so that it shows wherever it
+    reaches a result or a message.
+    """
+    body = {name: _raises(name) for name in names}
+    body["__hash__"] = base.__hash__
+    body["__repr__"] = lambda self: f"hostile({base.__repr__(self)})"
+    return type(f"Hostile{base.__name__.title()}", (base,), body)
+
+
+_HOSTILE = {
+    str: _hostile(str, [
+        "split", "__iter__", "lstrip", "translate", "encode", "__eq__", "__ne__", "__len__",
+        "__getitem__", "__contains__", "__str__", "__format__", "__add__", "isspace",
+        "replace",
+    ]),
+    int: _hostile(int, [
+        "__mod__", "__floordiv__", "__divmod__", "__lt__", "__le__", "__gt__", "__ge__",
+        "__eq__", "__ne__", "__str__", "__format__", "__index__", "__int__", "__bool__",
+        "__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__neg__",
+    ]),
+}
+
+# Calls that take the other paths: the empty ignore set, and each domain error.
+_OTHER_CALLS = [
+    (abjadnum.gematria, ("ا", A, "")),
+    (abjadnum.letter_by_value, (Alphabet.HEBREW, 1000)),
+    (abjadnum.letter_by_value, (A, 7)),
+    (abjadnum.letter_by_value, (A, 10**5000)),
+    (abjadnum.letter_for_codepoint, ("x",)),
+    (abjadnum.encode, (0, A)),
+    (abjadnum.encode, (2000, A)),
+    (abjadnum.encode, (-10**5000, A)),
+    (abjadnum.decode, ("اب", A, True)),
+    (abjadnum.decode, ("ـ", A, False)),
+    (abjadnum.gematria, ("ا x!", A, "!")),
+    (abjadnum.render_digits, (-1, W)),
+    (abjadnum.render_digits, (10**5000, W)),
+    (abjadnum.parse_digits, ("", W)),
+    (abjadnum.parse_digits, ("12a", W)),
+    (abjadnum.parse_digits, ("9" * 5000, W)),
+    (abjadnum.transliterate, ("1a", W, DigitScript.MASHREKI_EASTERN)),
+    (abjadnum.digit_provenance, (10, W)),
+    (abjadnum.decompose, (-1,)),
+    (abjadnum.format_reading, (decompose(5), "up", abjadnum.DEFAULT_LABELS, False)),
+    (abjadnum.hijri_to_gregorian_year, (0,)),
+    (abjadnum.gregorian_to_hijri_year, (600,)),
+]
+
+# (function, arguments, index) for each exact str or int argument of each call;
+# a bool (strict, figure_exact) is a flag read by its truth value.
+_SUBCLASSED = [
+    (fn, args, index)
+    for fn, args in [*_WELL_FORMED.items(), *_OTHER_CALLS]
+    for index, arg in enumerate(args)
+    if type(arg) in _HOSTILE
+]
+
+
+def _outcome(fn, args):
+    """What fn(*args) gives: its result's type and repr, or its error's type and text."""
+    try:
+        result = fn(*args)
+    except Exception as err:
+        return type(err), str(err)
+    return type(result), repr(result)
+
+
+@pytest.mark.parametrize(
+    "fn, args, index",
+    _SUBCLASSED,
+    ids=[f"{fn.__name__}-arg{index}" for fn, _, index in _SUBCLASSED],
+)
+def test_a_subclass_argument_answers_as_its_plain_value(fn, args, index):
+    hostile = list(args)
+    hostile[index] = _HOSTILE[type(args[index])](args[index])
+    assert _outcome(fn, hostile) == _outcome(fn, args)
+
+
+def _with(base, **methods):
+    return type("Sub", (base,), methods)
+
+
+@pytest.mark.parametrize(
+    "fn, args, expected",
+    [
+        (abjadnum.transliterate,
+         (_with(str, translate=lambda *a: "zz")("12"), W, DigitScript.MASHREKI_EASTERN),
+         (str, repr("١٢"))),
+        (abjadnum.parse_digits, (_with(str, lstrip=lambda *a: "")("abc"), W),
+         (abjadnum.InvalidGlyph, "'a' is not a western digit")),
+        (abjadnum.gematria, (_with(str, split=lambda *a: [1, 2])("ا"), A),
+         (abjadnum.GematriaResult, repr(abjadnum.GematriaResult(1, (("ا", 1),))))),
+        (abjadnum.decode, (_with(str, __iter__=lambda self: iter([1, 2]))("ا"), A),
+         (int, "1")),
+        (abjadnum.hijri_to_gregorian_year, (_with(int, __lt__=lambda *a: True)(1445),),
+         (int, "2024")),
+    ],
+    ids=["transliterate-translate", "parse_digits-lstrip", "gematria-split", "decode-iter",
+         "hijri-lt"],
+)
+def test_a_subclass_with_its_own_methods_is_read_as_its_value(fn, args, expected):
+    assert _outcome(fn, args) == expected

@@ -11,6 +11,7 @@ from abjadnum import (
     gregorian_to_hijri_year,
     letter_by_value,
 )
+from abjadnum.errors import check_int, check_text
 
 LIMIT = sys.get_int_max_str_digits()
 AT_LIMIT = int("9" * LIMIT)
@@ -47,3 +48,30 @@ def test_huge_int_raises_the_domain_error(call, n, error, message):
     with pytest.raises(error) as exc:
         call(n)
     assert str(exc.value) == message
+
+
+class _Text(str):
+    pass
+
+
+class _Number(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "check, value, plain",
+    [
+        (check_text, "ab", "ab"),
+        (check_text, _Text("ab"), "ab"),
+        (check_int, 7, 7),
+        (check_int, _Number(7), 7),
+        (check_int, _Number(-10**5000), -10**5000),
+    ],
+    ids=["str", "str-subclass", "int", "int-subclass", "huge-int-subclass"],
+)
+def test_a_checked_argument_is_its_exact_builtin(check, value, plain):
+    checked = check("x", value)
+    assert type(checked) is type(plain) and checked == plain
+    if type(value) is type(plain):
+        assert checked is value
+

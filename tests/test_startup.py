@@ -2,7 +2,9 @@
 
 ``json`` is imported by the CLI for --json output only, ``unicodedata`` by
 the skip rule of codec on its first miss, and the digit-provenance TSV is
-read on the first ``digit_provenance`` call.  Each case runs in a fresh
+read on the first ``digit_provenance`` call.  ``dataclasses`` and
+``inspect`` (whose import pulls in ``ast``, ``dis`` and ``tokenize``) are
+never loaded, neither by the import nor by a call.  Each case runs in a fresh
 interpreter with this checkout's ``src`` on PYTHONPATH, and compares
 ``sys.modules`` before and after, so a ``site`` that already imports one
 of these modules does not fail it.
@@ -20,6 +22,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 DEFERRED = {"json", "unicodedata"}
+NEVER_LOADED = {"dataclasses", "inspect"}
 
 # Each first-use path, as one expression over the names _SCRIPT imports.
 FIRST_USES = {
@@ -65,7 +68,7 @@ for call in WARM_UP:
 called = set(sys.modules)
 result, printed = run(CALL)
 print(repr(dict(
-    preloaded=sorted(before & DEFERRED),
+    preloaded=sorted(before & (DEFERRED | NEVER_LOADED)),
     imported=sorted(imported - before),
     cli=sorted(with_cli - before),
     called=sorted(set(sys.modules) - called),
@@ -90,7 +93,8 @@ def _fresh(code: str, **names) -> str:
 def _first_call(call: str, warm_up=()) -> dict:
     """What one fresh process saw: `call` run right after import and `warm_up`."""
     return ast.literal_eval(
-        _fresh(_SCRIPT, CALL=call, WARM_UP=list(warm_up), DEFERRED=DEFERRED)
+        _fresh(_SCRIPT, CALL=call, WARM_UP=list(warm_up), DEFERRED=DEFERRED,
+               NEVER_LOADED=NEVER_LOADED)
     )
 
 
@@ -98,6 +102,7 @@ def test_import_loads_neither_json_nor_unicodedata_nor_the_provenance_table():
     seen = _first_call("None")
     assert DEFERRED.isdisjoint(seen["imported"]), seen
     assert "json" not in seen["cli"], seen
+    assert NEVER_LOADED.isdisjoint(seen["cli"]), seen
     assert seen["filled_at_import"] == 0
 
 
@@ -121,6 +126,7 @@ def test_a_first_use_answers_as_a_warm_process(first_use):
     # The call itself loaded what it needs, and the warm process already had.
     assert LOADS.get(first_use, set()) - set(cold["preloaded"]) <= set(cold["called"]), cold
     assert DEFERRED.isdisjoint(warm["called"]), warm
+    assert NEVER_LOADED.isdisjoint(cold["cli"] + cold["called"]), cold
     assert cold["filled"] == (30 if first_use in READS_PROVENANCE else 0)
 
 
