@@ -121,6 +121,8 @@ def letter_by_value(alphabet: Alphabet, value: int) -> Letter:
 def letter_by_name(alphabet: Alphabet, name: str) -> Letter:
     """The letter of `alphabet` called `name` (as in the TSV tables)."""
     by_name = lookup(_BY_NAME, alphabet, "alphabet", "an Alphabet")
+    if isinstance(name, str):
+        name = check_text("name", name)
     try:
         return by_name[name]
     except (KeyError, TypeError):  # TypeError: an unhashable name

@@ -111,17 +111,15 @@ def format_reading(
     except TypeError:
         raise wrong_type("reading.groups", "a tuple of Group", groups) from None
     try:
+        # The default labels are known to be str; any others are read once, each
+        # as its exact str.  A str is rejected too: each of its characters would
+        # pass as a label.  A set or a dict is not indexed by position.
+        if labels is not DEFAULT_LABELS:
+            if isinstance(labels, str) or not isinstance(labels, Sequence):
+                raise TypeError
+            labels = [check_text("labels", label) for label in labels]
         too_few = count > len(labels)
-        # The default labels are known to be str; any others are checked.  A str
-        # is rejected too: each of its characters would pass as a label.  A set
-        # or a dict is not indexed by position.
-        if labels is not DEFAULT_LABELS and (
-            isinstance(labels, str)
-            or not isinstance(labels, Sequence)
-            or not all(isinstance(label, str) for label in labels)
-        ):
-            raise TypeError
-    except TypeError:
+    except (TypeError, ValueError):
         raise wrong_type("labels", "a tuple of str", labels) from None
     if too_few:
         raise InsufficientLabels(f"{count} groups but only {len(labels)} labels")

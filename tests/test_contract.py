@@ -484,9 +484,18 @@ def _with(base, **methods):
          (int, "1")),
         (abjadnum.hijri_to_gregorian_year, (_with(int, __lt__=lambda *a: True)(1445),),
          (int, "2024")),
+        (letter_by_name, (A, _with(str, __eq__=lambda *a: False, __hash__=str.__hash__)("Sad")),
+         (abjadnum.Letter, repr(letter_by_name(A, "Sad")))),
+        (abjadnum.format_reading,
+         (abjadnum.decompose(5000), "ltr", ("", _with(str, __format__=lambda *a: "zz")("mille"))),
+         (str, repr("5 mille"))),
+        (abjadnum.format_reading,
+         (abjadnum.decompose(5000), "rtl", ("", _with(str, __format__=lambda *a: "zz")("mille"))),
+         (str, repr("5 mille"))),
     ],
     ids=["transliterate-translate", "parse_digits-lstrip", "gematria-split", "decode-iter",
-         "hijri-lt"],
+         "hijri-lt", "letter_by_name-eq", "format_reading-ltr-label-format",
+         "format_reading-rtl-label-format"],
 )
 def test_a_subclass_with_its_own_methods_is_read_as_its_value(fn, args, expected):
     assert _outcome(fn, args) == expected

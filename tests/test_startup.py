@@ -1,5 +1,7 @@
 """Start-up loads only what the call uses.
 
+``import abjadnum`` loads none of its modules: the first use of a public
+name imports the module that exports it (and what that module imports).
 ``json`` is imported by the CLI for --json output only, ``unicodedata`` by
 the skip rule of codec on its first miss, and the digit-provenance TSV is
 read on the first ``digit_provenance`` call.  ``dataclasses`` and
@@ -10,13 +12,16 @@ interpreter with this checkout's ``src`` on PYTHONPATH, and compares
 of these modules does not fail it.
 
 Parametrised by ``pytest_generate_tests`` rather than pytest.mark, so that
-the module imports no pytest and its tests can be called without it.
+the module imports no pytest and its tests can be called without it:
+``python tests/test_startup.py`` runs each test once per parameter, names
+each that fails and exits 1 if any does.
 """
 
 import ast
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -116,6 +121,8 @@ def test_a_plain_cli_call_loads_no_json():
 def pytest_generate_tests(metafunc):
     if "first_use" in metafunc.fixturenames:
         metafunc.parametrize("first_use", list(FIRST_USES))
+    if "statement" in metafunc.fixturenames:
+        metafunc.parametrize("statement", list(LAZY_LOADS))
 
 
 def test_a_first_use_answers_as_a_warm_process(first_use):
@@ -186,3 +193,171 @@ def test_a_concurrent_first_use_sees_whole_tables():
     assert seen == dict(
         errors=[], stuck=0, calls=8 * 200, differing=0, pairs=30, words=[102, 66]
     )
+
+
+# The 40 public names, in the order __all__ has always listed them.
+PUBLIC = [
+    "ABJADI_SEQUENCE", "Alphabet", "Letter", "letters", "letter_by_value",
+    "letter_for_codepoint", "max_letter_value",
+    "AbjadNumeral", "GematriaResult", "MAX_ENCODABLE", "encode", "decode", "gematria",
+    "DigitScript", "DigitProvenance", "SEPARATORS", "render_digits", "parse_digits",
+    "transliterate", "digit_provenance",
+    "NumberReading", "Group", "RankComponent", "DEFAULT_LABELS", "RIGHT_TO_LEFT",
+    "LEFT_TO_RIGHT", "decompose", "format_reading",
+    "hijri_to_gregorian_year", "gregorian_to_hijri_year",
+    "NumeralError", "NotAnAbjadiValue", "OutOfAlphabetRange", "UnknownLetter", "OutOfRange",
+    "ZeroUnencodable", "NonCanonical", "InvalidGlyph", "InsufficientLabels", "PreEpoch",
+]
+
+MODULES = ["alphabets", "chronology", "codec", "digits", "errors", "reading"]
+
+# A statement run right after a bare `import abjadnum` -> the abjadnum.*
+# modules it should load and the error it should raise, if any.
+LAZY_LOADS = {
+    "pass": ([], None),
+    "from abjadnum import Alphabet, decode, gematria": (["alphabets", "codec", "errors"], None),
+    "from abjadnum import gematria": (["alphabets", "codec", "errors"], None),
+    "assert abjadnum.codec is sys.modules['abjadnum.codec']":
+        (["alphabets", "codec", "errors"], None),
+    "from abjadnum import PreEpoch": (["errors"], None),
+    "from abjadnum import hijri_to_gregorian_year": (["chronology", "errors"], None),
+    "from abjadnum import format_reading": (["errors", "reading"], None),
+    "from abjadnum import *": (MODULES, None),
+    "from abjadnum import nope":
+        ([], "ImportError(\"cannot import name 'nope' from 'abjadnum'\")"),
+    "abjadnum.nope": ([], "AttributeError(\"module 'abjadnum' has no attribute 'nope'\")"),
+}
+
+_LAZY = """\
+import sys
+
+def loaded():
+    return sorted(name[9:] for name in sys.modules if name.startswith("abjadnum."))
+
+import abjadnum
+bare = loaded()
+try:
+    exec(STATEMENT)
+    error = None
+except Exception as err:
+    # An ImportError's text goes on to name the package's file.
+    error = f"{type(err).__name__}({str(err).split(' (')[0]!r})"
+print(repr(dict(bare=bare, loaded=loaded(), error=error)))
+"""
+
+
+def test_a_first_use_loads_only_the_modules_it_needs(statement):
+    seen = ast.literal_eval(_fresh(_LAZY, STATEMENT=statement))
+    modules, error = LAZY_LOADS[statement]
+    assert seen == dict(bare=[], loaded=modules, error=error)
+
+
+_NAMESPACE = """\
+import importlib, sys
+import abjadnum
+
+public = list(abjadnum.__all__)
+listed = set(dir(abjadnum))
+star = {}
+exec("from abjadnum import *", star)
+modules = [importlib.import_module(f"abjadnum.{name}") for name in MODULES]
+# Each public name is bound in the package, to the object in every module
+# that holds it (an error class is held by errors and by its importers).
+homes = {name: [m.__name__ for m in modules if name in vars(m)] for name in public}
+print(repr(dict(
+    public=public,
+    unlisted=sorted(set(public + MODULES) - listed),
+    unbound=sorted(set(public) - set(vars(abjadnum))),
+    star=sorted(set(star) - {"__builtins__"}),
+    homeless=sorted(name for name, home in homes.items() if not home),
+    differing=sorted(
+        name for name in public
+        if any(getattr(abjadnum, name) is not vars(m)[name] for m in modules if name in vars(m))
+        or star[name] is not getattr(abjadnum, name)
+    ),
+    submodules=[getattr(abjadnum, name) is m for name, m in zip(MODULES, modules)],
+)))
+"""
+
+
+def test_every_public_name_is_the_object_in_its_module():
+    seen = ast.literal_eval(_fresh(_NAMESPACE, MODULES=MODULES))
+    assert seen == dict(public=PUBLIC, unlisted=[], unbound=[], star=sorted(PUBLIC),
+                        homeless=[], differing=[], submodules=[True] * len(MODULES))
+
+
+_RACE = """\
+import importlib, sys, threading
+
+THREADS, ROUNDS = 8, 50
+barrier = threading.Barrier(THREADS, timeout=60)
+
+def first_access(names, out):
+    barrier.wait()
+    try:
+        out.append([getattr(abjadnum, name) for name in names])
+    except Exception as err:
+        errors.append(repr(err))
+
+errors, stuck, differing, calls = [], 0, 0, 0
+sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+try:
+    for _ in range(ROUNDS):
+        # Each round starts from a fresh package, so the first access races again.
+        for name in [name for name in sys.modules if name.split(".")[0] == "abjadnum"]:
+            del sys.modules[name]
+        import abjadnum
+        names = list(abjadnum.__all__) + MODULES
+        # Each thread asks in its own order, so they start on different modules.
+        orders = [names[5 * i:] + names[:5 * i] for i in range(THREADS)]
+        outs = [[] for _ in range(THREADS)]
+        threads = [threading.Thread(target=first_access, args=(order, out))
+                   for order, out in zip(orders, outs)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            stuck += thread.is_alive()
+        alone = {name: getattr(abjadnum, name) for name in names}
+        for order, out in zip(orders, outs):
+            calls += len(out)
+            differing += sum(got is not alone[name]
+                             for values in out for name, got in zip(order, values))
+        modules = [importlib.import_module(f"abjadnum.{name}") for name in MODULES]
+        differing += sum(alone[name] is not module for name, module in zip(MODULES, modules))
+finally:
+    sys.setswitchinterval(0.005)
+print(repr(dict(errors=sorted(set(errors)), stuck=stuck, calls=calls, differing=differing)))
+"""
+
+
+def test_threads_racing_the_first_access_get_the_same_objects():
+    seen = ast.literal_eval(_fresh(_RACE, MODULES=MODULES))
+    assert seen == dict(errors=[], stuck=0, calls=8 * 50, differing=0)
+
+
+def _main() -> int:
+    """Run every test of this module as pytest would, without pytest."""
+    cases = []
+    for name, test in list(globals().items()):
+        if name.startswith("test_"):
+            grid = {}
+            fixtures = test.__code__.co_varnames[:test.__code__.co_argcount]
+            metafunc = types.SimpleNamespace(fixturenames=fixtures, parametrize=grid.__setitem__)
+            pytest_generate_tests(metafunc)
+            # Each test takes at most one parameter.
+            cases += [(f"{name}[{value}]", test, {arg: value})
+                      for arg, values in grid.items() for value in values] or [(name, test, {})]
+    failed = 0
+    for case, test, kwargs in cases:
+        try:
+            test(**kwargs)
+        except Exception as err:
+            failed += 1
+            print(f"FAILED {case}: {type(err).__name__}: {err}")
+    print(f"{len(cases) - failed}/{len(cases)} start-up tests passed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(_main())

@@ -1,0 +1,101 @@
+"""Run the repository's checks under each named Python interpreter.
+
+    python3 tools/check_interpreters.py PYTHON... [--test-packages DIR]
+
+For each interpreter, in order, it runs from the repository root with only
+``src`` (and DIR) on PYTHONPATH:
+
+- ``transcript``: ``tests/test_cli_transcript.py --check``;
+- ``readme``: ``-m doctest README.md``;
+- ``startup``: ``tests/test_startup.py``, which needs no pytest;
+- ``tier1``: the Tier-1 command, ``-m pytest -q --continue-on-collection-errors``,
+  when the interpreter can import pytest and hypothesis from its own
+  site-packages or from DIR, and skipped otherwise.
+
+DIR is a directory of pure-Python packages (pytest, hypothesis and what they
+import) for interpreters that lack them.  Nothing is searched for or
+installed.  Each check prints one JSON line: the interpreter, its version,
+the check, and ``ok`` with the seconds taken and the last line of output, or
+``skipped`` with the reason.  The exit status is 1 if any check failed.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CHECKS = {
+    "transcript": ["tests/test_cli_transcript.py", "--check"],
+    "readme": ["-m", "doctest", "README.md"],
+    "startup": ["tests/test_startup.py"],
+    "tier1": ["-m", "pytest", "-q", "--continue-on-collection-errors"],
+}
+# Run first, under the same PYTHONPATH, to decide whether tier1 can run.
+TIER1_NEEDS = ["-c", "import pytest, hypothesis"]
+TIMEOUT_S = 900
+
+
+def _run(python: str, args: list[str], pythonpath: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    return subprocess.run([python, *args], cwd=ROOT, env=env, capture_output=True,
+                          text=True, errors="replace", timeout=TIMEOUT_S)
+
+
+def _last_line(proc: subprocess.CompletedProcess) -> str:
+    lines = (proc.stdout + proc.stderr).strip().splitlines()
+    return lines[-1] if lines else ""
+
+
+def check(python: str, packages: str | None) -> bool:
+    """Print one JSON line per check of `python`; True if none failed."""
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), packages]))
+    try:
+        probe = _run(python, ["-c", "import sys; print(sys.version.split()[0])"],
+                     pythonpath)
+    except OSError as err:
+        probe = subprocess.CompletedProcess([python], 127, "", str(err))
+    record = {"python": python, "version": probe.stdout.strip() if probe.returncode == 0 else None}
+    if probe.returncode != 0:
+        print(json.dumps({**record, "check": "start", "ok": False, "detail": _last_line(probe)}),
+              flush=True)
+        return False
+    passed = True
+    for name, args in CHECKS.items():
+        if name == "tier1":
+            needs = _run(python, TIER1_NEEDS, pythonpath)
+            if needs.returncode != 0:
+                where = f"its site-packages or {packages}" if packages else "its site-packages"
+                reason = f"cannot import pytest and hypothesis from {where}: {_last_line(needs)}"
+                print(json.dumps({**record, "check": name, "skipped": reason}), flush=True)
+                continue
+        start = time.perf_counter()
+        try:
+            proc = _run(python, args, pythonpath)
+            ok, detail = proc.returncode == 0, _last_line(proc)
+        except subprocess.TimeoutExpired:
+            ok, detail = False, f"timed out after {TIMEOUT_S} s"
+        seconds = round(time.perf_counter() - start, 1)
+        print(json.dumps({**record, "check": name, "ok": ok, "seconds": seconds,
+                          "detail": detail}), flush=True)
+        passed = passed and ok
+    return passed
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("pythons", nargs="+", metavar="PYTHON",
+                        help="an interpreter to check, as a path or a command name")
+    parser.add_argument("--test-packages", metavar="DIR",
+                        help="a directory to put on PYTHONPATH for pytest and hypothesis")
+    args = parser.parse_args(argv)
+    results = [check(python, args.test_packages) for python in args.pythons]
+    return 0 if all(results) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
