@@ -263,13 +263,12 @@ exec("from abjadnum import *", star)
 modules = [importlib.import_module(f"abjadnum.{name}") for name in MODULES]
 # Each public name is bound in the package, to the object in every module
 # that holds it (an error class is held by errors and by its importers).
-homes = {name: [m.__name__ for m in modules if name in vars(m)] for name in public}
 print(repr(dict(
     public=public,
     unlisted=sorted(set(public + MODULES) - listed),
     unbound=sorted(set(public) - set(vars(abjadnum))),
     star=sorted(set(star) - {"__builtins__"}),
-    homeless=sorted(name for name, home in homes.items() if not home),
+    homeless=sorted(name for name in public if not any(name in vars(m) for m in modules)),
     differing=sorted(
         name for name in public
         if any(getattr(abjadnum, name) is not vars(m)[name] for m in modules if name in vars(m))
