@@ -5,7 +5,10 @@ A canonical numeral word takes at most one letter from each rank band
 them in ascending value order, so the units letter comes first in memory
 and shows rightmost in right-to-left script.  "همرغ" is 5+40+200+1000 =
 1245.  Arabic covers 1..1999, Hebrew 1..499; larger numbers have no single
-agreed word form and are rejected.
+agreed word form and are rejected.  Strict decoding checks a word against
+the nonzero decimal parts of its total, units first: each letter value is
+d * 10**r with d <= 9, so one letter per band adds without carries, and a
+word is canonical exactly when its values are those parts.
 
 Decoding and gematria count letters only.  A character is skipped when it
 is whitespace, the tatweel (U+0640, elongation), a combining mark
@@ -55,7 +58,6 @@ from collections import namedtuple
 from operator import itemgetter
 
 from .alphabets import (
-    ABJADI_SEQUENCE,
     Alphabet,
     letter_by_value,
     letter_for_codepoint,
@@ -68,9 +70,6 @@ MAX_ENCODABLE = {Alphabet.ARABIC: 1999, Alphabet.HEBREW: 499}
 
 # Tatweel, the Arabic elongation mark; carries no value, appears freely.
 _TATWEEL = "ـ"
-
-# Rank band of each letter value: 0 units, 1 tens, 2 hundreds, 3 thousands.
-_BAND = {value: len(str(value)) - 1 for value in ABJADI_SEQUENCE}
 
 
 class AbjadNumeral(namedtuple("AbjadNumeral", "alphabet letters value")):
@@ -199,7 +198,7 @@ _NO_IGNORE = ""
 
 
 def decode(word: str, alphabet: Alphabet, strict: bool = False) -> int:
-    """Sum the letter values of `word` (diacritics and elongation ignored).
+    """Sum the letter values of `word`, skipping what the module docstring's skip rule names.
 
     Lax mode accepts the letters in any order and any multiplicity.  Strict
     mode additionally requires a canonical numeral: strictly ascending
@@ -207,16 +206,24 @@ def decode(word: str, alphabet: Alphabet, strict: bool = False) -> int:
     """
     word = check_text("word", word)
     table = lookup(_VALUES, alphabet, "alphabet", "an Alphabet")
+    if not strict:
+        total = sum(map(table.__getitem__, word))
+        if not total:  # every letter is worth at least 1, a skipped character 0
+            raise ValueError("empty word")
+        return total
     values = list(filter(None, map(table.__getitem__, word)))
     if not values:
         raise ValueError("empty word")
-    # Strictly ascending bands means ascending values, one letter per band.
-    if strict and not all(_BAND[a] < _BAND[b] for a, b in zip(values, values[1:])):
+    total = sum(values)
+    # The module docstring says why this is the band rule.
+    if values != list(filter(None, (
+        total % 10, total % 100 - total % 10, total % 1000 - total % 100, total - total % 1000
+    ))):
         raise NonCanonical(
             f"{word!r} is not a canonical numeral "
             "(ascending values, one letter per rank)"
         )
-    return sum(values)
+    return total
 
 
 def gematria(phrase: str, alphabet: Alphabet, ignore: str = "") -> GematriaResult:

@@ -138,11 +138,19 @@ class TestDecode:
             decode("غرمه", Alphabet.ARABIC, strict=True)
         assert decode("غرمه", Alphabet.ARABIC) == 1245
 
-    def test_strict_rejects_two_letters_of_one_rank(self):
-        # 400 + 400: valid sum in lax mode, never a canonical word
-        assert decode("תת", Alphabet.HEBREW) == 800
+    @pytest.mark.parametrize(
+        "word, alphabet, total",
+        [
+            ("תת", Alphabet.HEBREW, 800),  # 400 + 400: two letters of one rank
+            ("غغ", Alphabet.ARABIC, 2000),  # past the limit: no letter is worth 2000
+            ("תתק", Alphabet.HEBREW, 900),  # past the limit: no letter is worth 900
+        ],
+    )
+    def test_strict_rejects_two_letters_of_one_rank(self, word, alphabet, total):
+        # A valid sum in lax mode, never a canonical word
+        assert decode(word, alphabet) == total
         with pytest.raises(NonCanonical):
-            decode("תת", Alphabet.HEBREW, strict=True)
+            decode(word, alphabet, strict=True)
 
     @pytest.mark.parametrize("alphabet", list(Alphabet))
     def test_exhaustive_strict_round_trip(self, alphabet):
@@ -165,18 +173,46 @@ class TestDecode:
     def test_ignores_interior_whitespace(self):
         assert decode(" ه م ر غ ", Alphabet.ARABIC, strict=True) == 1245
 
-    def test_variant_forms_decode(self):
-        assert decode("ים", Alphabet.HEBREW) == 50  # final Mem counts as 40
+    @pytest.mark.parametrize(
+        "word, alphabet, strict, value",
+        [
+            ("ים", Alphabet.HEBREW, False, 50),  # final Mem counts as 40
+            # canonical words in variant forms, with marks between the letters
+            ("أ\u064eى\u0651ـر", Alphabet.ARABIC, True, 211),
+            ("ة\u0650ؤ", Alphabet.ARABIC, False, 11),
+            ("ט\u05b8ם\u05bc", Alphabet.HEBREW, True, 49),
+        ],
+    )
+    def test_variant_forms_decode(self, word, alphabet, strict, value):
+        assert decode(word, alphabet, strict) == value
 
-    def test_unknown_letter(self):
+    @pytest.mark.parametrize(
+        "word, alphabet, strict",
+        [
+            ("Xyz", Alphabet.ARABIC, False),
+            ("שלום", Alphabet.ARABIC, False),  # wrong alphabet
+            # a non-canonical prefix: the unknown letter is reported first
+            ("غرمهא", Alphabet.ARABIC, True),
+            ("תתب", Alphabet.HEBREW, True),
+        ],
+    )
+    def test_unknown_letter(self, word, alphabet, strict):
         with pytest.raises(UnknownLetter):
-            decode("Xyz", Alphabet.ARABIC)
-        with pytest.raises(UnknownLetter):
-            decode("שלום", Alphabet.ARABIC)  # wrong alphabet
+            decode(word, alphabet, strict)
 
-    def test_empty_word_is_a_usage_error(self):
-        with pytest.raises(ValueError):
-            decode("  ", Alphabet.ARABIC)
+    @pytest.mark.parametrize(
+        "word, alphabet, strict",
+        [
+            ("  ", Alphabet.ARABIC, False),
+            ("  ", Alphabet.ARABIC, True),
+            ("\u064e\u0640 \u0651", Alphabet.ARABIC, True),  # marks, tatweel, a space
+            ("\u05b8\t\u05bc", Alphabet.HEBREW, True),
+        ],
+    )
+    def test_empty_word_is_a_usage_error(self, word, alphabet, strict):
+        with pytest.raises(ValueError, match="^empty word$") as raised:
+            decode(word, alphabet, strict)
+        assert not isinstance(raised.value, NumeralError)
 
 
 @given(st.integers(min_value=1, max_value=1999), st.randoms())
@@ -412,6 +448,21 @@ def _outcome(fn, *args):
         return "value", fn(*args)
     except ValueError as err:
         return type(err), str(err)
+
+
+@pytest.mark.parametrize("alphabet, count", [(Alphabet.ARABIC, 22764), (Alphabet.HEBREW, 11154)])
+def test_every_word_of_up_to_three_letters_matches_the_band_rule(alphabet, count):
+    # Every sequence of 1-3 letter values, each in its primary codepoint:
+    # strict decode's check against the decimal parts of the total must agree
+    # with the band rule on every short word, ordered or not.
+    primary = [letter.codepoint for letter in letters(alphabet)]
+    words = ["".join(seq) for size in (1, 2, 3) for seq in itertools.product(primary, repeat=size)]
+    assert len(words) == count
+    for word in words:
+        for strict in (False, True):
+            assert _outcome(decode, word, alphabet, strict) == _outcome(
+                _reference_decode, word, alphabet, strict
+            )
 
 
 _skippable_marks = (
