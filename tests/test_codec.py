@@ -138,19 +138,16 @@ class TestDecode:
             decode("غرمه", Alphabet.ARABIC, strict=True)
         assert decode("غرمه", Alphabet.ARABIC) == 1245
 
-    @pytest.mark.parametrize(
-        "word, alphabet, total",
-        [
+    def test_strict_rejects_two_letters_of_one_rank(self):
+        # A valid sum in lax mode, never a canonical word
+        for word, alphabet, total in [
             ("תת", Alphabet.HEBREW, 800),  # 400 + 400: two letters of one rank
             ("غغ", Alphabet.ARABIC, 2000),  # past the limit: no letter is worth 2000
             ("תתק", Alphabet.HEBREW, 900),  # past the limit: no letter is worth 900
-        ],
-    )
-    def test_strict_rejects_two_letters_of_one_rank(self, word, alphabet, total):
-        # A valid sum in lax mode, never a canonical word
-        assert decode(word, alphabet) == total
-        with pytest.raises(NonCanonical):
-            decode(word, alphabet, strict=True)
+        ]:
+            assert decode(word, alphabet) == total
+            with pytest.raises(NonCanonical):
+                decode(word, alphabet, strict=True)
 
     @pytest.mark.parametrize("alphabet", list(Alphabet))
     def test_exhaustive_strict_round_trip(self, alphabet):
@@ -173,46 +170,37 @@ class TestDecode:
     def test_ignores_interior_whitespace(self):
         assert decode(" ه م ر غ ", Alphabet.ARABIC, strict=True) == 1245
 
-    @pytest.mark.parametrize(
-        "word, alphabet, strict, value",
-        [
+    def test_variant_forms_decode(self):
+        for word, alphabet, strict, value in [
             ("ים", Alphabet.HEBREW, False, 50),  # final Mem counts as 40
             # canonical words in variant forms, with marks between the letters
             ("أ\u064eى\u0651ـر", Alphabet.ARABIC, True, 211),
             ("ة\u0650ؤ", Alphabet.ARABIC, False, 11),
             ("ט\u05b8ם\u05bc", Alphabet.HEBREW, True, 49),
-        ],
-    )
-    def test_variant_forms_decode(self, word, alphabet, strict, value):
-        assert decode(word, alphabet, strict) == value
+        ]:
+            assert decode(word, alphabet, strict) == value
 
-    @pytest.mark.parametrize(
-        "word, alphabet, strict",
-        [
+    def test_unknown_letter(self):
+        for word, alphabet, strict in [
             ("Xyz", Alphabet.ARABIC, False),
             ("שלום", Alphabet.ARABIC, False),  # wrong alphabet
             # a non-canonical prefix: the unknown letter is reported first
             ("غرمهא", Alphabet.ARABIC, True),
             ("תתب", Alphabet.HEBREW, True),
-        ],
-    )
-    def test_unknown_letter(self, word, alphabet, strict):
-        with pytest.raises(UnknownLetter):
-            decode(word, alphabet, strict)
+        ]:
+            with pytest.raises(UnknownLetter):
+                decode(word, alphabet, strict)
 
-    @pytest.mark.parametrize(
-        "word, alphabet, strict",
-        [
+    def test_empty_word_is_a_usage_error(self):
+        for word, alphabet, strict in [
             ("  ", Alphabet.ARABIC, False),
             ("  ", Alphabet.ARABIC, True),
             ("\u064e\u0640 \u0651", Alphabet.ARABIC, True),  # marks, tatweel, a space
             ("\u05b8\t\u05bc", Alphabet.HEBREW, True),
-        ],
-    )
-    def test_empty_word_is_a_usage_error(self, word, alphabet, strict):
-        with pytest.raises(ValueError, match="^empty word$") as raised:
-            decode(word, alphabet, strict)
-        assert not isinstance(raised.value, NumeralError)
+        ]:
+            with pytest.raises(ValueError, match="^empty word$") as raised:
+                decode(word, alphabet, strict)
+            assert not isinstance(raised.value, NumeralError)
 
 
 @given(st.integers(min_value=1, max_value=1999), st.randoms())
