@@ -5,10 +5,14 @@ A canonical numeral word takes at most one letter from each rank band
 them in ascending value order, so the units letter comes first in memory
 and shows rightmost in right-to-left script.  "همرغ" is 5+40+200+1000 =
 1245.  Arabic covers 1..1999, Hebrew 1..499; larger numbers have no single
-agreed word form and are rejected.  Strict decoding checks a word against
-the nonzero decimal parts of its total, units first: each letter value is
+agreed word form and are rejected.  Any n <= 1999 is n % 100 plus n // 100
+hundreds, so its parts come from two tables: the parts of n % 100 (0..99)
+followed by those of 100 * (n // 100) (0..1900).  Encoding joins two such
+entries of letters.  Strict decoding compares a word's values with the two
+entries of values for its total, units first: each letter value is
 d * 10**r with d <= 9, so one letter per band adds without carries, and a
-word is canonical exactly when its values are those parts.
+word is canonical exactly when its total is at most 1999 and its values
+are those parts.
 
 Decoding and gematria count letters only.  A character is skipped when it
 is whitespace, the tatweel (U+0640, elongation), a combining mark
@@ -57,12 +61,7 @@ since each such call builds a new memo and table copy.
 from collections import namedtuple
 from operator import itemgetter
 
-from .alphabets import (
-    Alphabet,
-    letter_by_value,
-    letter_for_codepoint,
-    letters,
-)
+from .alphabets import ABJADI_SEQUENCE, Alphabet, letter_for_codepoint, letters
 from .errors import NonCanonical, OutOfRange, UnknownLetter, ZeroUnencodable
 from .errors import check_int, check_text, int_text, lookup
 
@@ -88,22 +87,29 @@ class AbjadNumeral(namedtuple("AbjadNumeral", "alphabet letters value")):
 # per_word holds one (token, value) pair per whitespace-separated token.
 GematriaResult = namedtuple("GematriaResult", "total per_word")
 
-# _ENCODING[alphabet] is (limit, units, tens, hundreds, thousands): limit is
-# MAX_ENCODABLE[alphabet], and entry d of a rank r's table is () for d == 0,
-# else a one-tuple of the letter of value d * 10**r; digits past the limit
-# have no entry.
+
+def _two_digit(entries, empty, limit):
+    """(low, high): low[k] joins the entries of k's parts, units first, for k
+    in 0..99, and high[k] those of 100 * k <= limit.  `entries` maps a letter
+    value to its entry; a part that no letter carries has the entry `empty`.
+    """
+    units, tens, hundreds, thousands = (
+        [entries.get(digit * scale, empty) for digit in range(10)] for scale in (1, 10, 100, 1000)
+    )
+    return ([units[k % 10] + tens[k // 10] for k in range(100)],
+            [hundreds[k % 10] + thousands[k // 10] for k in range(limit // 100 + 1)])
+
+
+# _ENCODING[alphabet] is (limit, low, high): limit is MAX_ENCODABLE[alphabet],
+# and low and high hold tuples of letters, 100 and limit // 100 + 1 of them.
 _ENCODING = {
-    alphabet: (limit,) + tuple(
-        ((),)
-        + tuple(
-            (letter_by_value(alphabet, digit * scale),)
-            for digit in range(1, 10)
-            if digit * scale <= limit
-        )
-        for scale in (1, 10, 100, 1000)
+    alphabet: (
+        limit, *_two_digit({letter.value: (letter,) for letter in letters(alphabet)}, (), limit)
     )
     for alphabet, limit in MAX_ENCODABLE.items()
 }
+# The same split as lists of letter values, for strict decoding in either alphabet.
+_PARTS = _two_digit({value: [value] for value in ABJADI_SEQUENCE}, [], 1999)
 
 
 def encode(n: int, alphabet: Alphabet) -> AbjadNumeral:
@@ -117,12 +123,10 @@ def encode(n: int, alphabet: Alphabet) -> AbjadNumeral:
     n = check_int("n", n)
     if n == 0:
         raise ZeroUnencodable("zero is not a letter value and has no word form")
-    limit, units, tens, hundreds, thousands = lookup(
-        _ENCODING, alphabet, "alphabet", "an Alphabet"
-    )
+    limit, low, high = lookup(_ENCODING, alphabet, "alphabet", "an Alphabet")
     if not 1 <= n <= limit:
         raise OutOfRange(f"{int_text(n)} is outside 1..{limit} for {alphabet.value}")
-    picked = units[n % 10] + tens[n // 10 % 10] + hundreds[n // 100 % 10] + thousands[n // 1000]
+    picked = low[n % 100] + high[n // 100]
     return tuple.__new__(AbjadNumeral, (alphabet, picked, n))
 
 
@@ -215,10 +219,8 @@ def decode(word: str, alphabet: Alphabet, strict: bool = False) -> int:
     if not values:
         raise ValueError("empty word")
     total = sum(values)
-    # The module docstring says why this is the band rule.
-    if values != list(filter(None, (
-        total % 10, total % 100 - total % 10, total % 1000 - total % 100, total - total % 1000
-    ))):
+    low, high = _PARTS  # the module docstring says why this is the band rule
+    if total > 1999 or values != low[total % 100] + high[total // 100]:
         raise NonCanonical(
             f"{word!r} is not a canonical numeral "
             "(ascending values, one letter per rank)"

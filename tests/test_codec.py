@@ -77,6 +77,20 @@ class TestEncode:
         assert encode(1245, Alphabet.ARABIC).text == "همرغ"
         assert encode(200, Alphabet.ARABIC).text == "ر"
         assert encode(1, Alphabet.ARABIC).text == "ا"
+        # The edges of the two-digit tables: the last entry of the low table,
+        # the first and last hundreds, the thousand and each alphabet's limit.
+        for n, alphabet, word in [
+            (99, Alphabet.ARABIC, "طص"),
+            (100, Alphabet.ARABIC, "ق"),
+            (999, Alphabet.ARABIC, "طصظ"),
+            (1000, Alphabet.ARABIC, "غ"),
+            (1999, Alphabet.ARABIC, "طصظغ"),
+            (99, Alphabet.HEBREW, "טצ"),
+            (100, Alphabet.HEBREW, "ק"),
+            (499, Alphabet.HEBREW, "טצת"),
+        ]:
+            assert encode(n, alphabet).text == word
+            assert decode(word, alphabet, strict=True) == n
 
     def test_hebrew_maximum(self):
         # 499 = 9 + 90 + 400, frozen from the band-enumeration oracle
@@ -144,6 +158,9 @@ class TestDecode:
             ("תת", Alphabet.HEBREW, 800),  # 400 + 400: two letters of one rank
             ("غغ", Alphabet.ARABIC, 2000),  # past the limit: no letter is worth 2000
             ("תתק", Alphabet.HEBREW, 900),  # past the limit: no letter is worth 900
+            ("اغغ", Alphabet.ARABIC, 2001),  # past the end of the hundreds table
+            ("קת", Alphabet.HEBREW, 500),  # 500 has no Hebrew letter
+            ("תק", Alphabet.HEBREW, 500),
         ]:
             assert decode(word, alphabet) == total
             with pytest.raises(NonCanonical):
@@ -446,6 +463,29 @@ def test_every_word_of_up_to_three_letters_matches_the_band_rule(alphabet, count
     primary = [letter.codepoint for letter in letters(alphabet)]
     words = ["".join(seq) for size in (1, 2, 3) for seq in itertools.product(primary, repeat=size)]
     assert len(words) == count
+    for word in words:
+        for strict in (False, True):
+            assert _outcome(decode, word, alphabet, strict) == _outcome(
+                _reference_decode, word, alphabet, strict
+            )
+
+
+# The first and last letter value of each rank.
+_EDGE_VALUES = {
+    Alphabet.ARABIC: (1, 9, 10, 90, 100, 900, 1000),
+    Alphabet.HEBREW: (1, 9, 10, 90, 100, 400),
+}
+
+
+@pytest.mark.parametrize("alphabet, count", [(Alphabet.ARABIC, 2401), (Alphabet.HEBREW, 1296)])
+def test_every_four_letter_word_of_the_edge_values_matches_the_band_rule(alphabet, count):
+    # Four edge letters in every order: totals reach 4000 (Arabic) and 1600
+    # (Hebrew), past the end of each two-digit table, and 1999's word is
+    # among them.
+    values = _EDGE_VALUES[alphabet]
+    primary = [letter.codepoint for letter in letters(alphabet) if letter.value in values]
+    words = ["".join(seq) for seq in itertools.product(primary, repeat=4)]
+    assert len(primary) == len(values) and len(words) == count
     for word in words:
         for strict in (False, True):
             assert _outcome(decode, word, alphabet, strict) == _outcome(
