@@ -10,6 +10,12 @@ a table that is filled on first use (nothing is built at import) and never
 holds more than 1000 entries.  The right-to-left speech of each of those
 tuples is kept beside it and found by the tuple's identity, which the table
 keeps alive; any other components (a hand-built group) are spoken afresh.
+
+A Group is fixed by its index and value, so the groups of the indices the
+default labels can name (0..3) are shared the same way: one table per index,
+each filled on first use and holding at most 1000 records.  A group past
+index 3 is built afresh by each call and stored nowhere, so the tables stay
+bounded however large n is.
 """
 
 from collections import namedtuple
@@ -72,6 +78,23 @@ class _Components(dict):
 _COMPONENTS = _Components()
 
 
+class _Groups(dict):
+    """Group value -> its Group record at one index; a miss builds and stores it."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: int) -> None:
+        self.index = index
+
+    def __missing__(self, value: int) -> Group:
+        # setdefault: two threads that miss together still hand out one record.
+        return self.setdefault(value, _new(Group, (self.index, value, _COMPONENTS[value])))
+
+
+# Entry i holds the groups of index i, one per index the default labels name.
+_GROUPS = tuple(map(_Groups, range(len(DEFAULT_LABELS))))
+
+
 def decompose(n: int) -> NumberReading:
     """Base-1000 groups of n, least significant first, zero parts omitted."""
     n = check_int("n", n)
@@ -79,11 +102,15 @@ def decompose(n: int) -> NumberReading:
         raise ValueError("n must be non-negative")
     groups = []
     rest = n
-    while True:
+    for table in _GROUPS:
+        rest, value = divmod(rest, 1000)
+        groups.append(table[value])
+        if not rest:
+            return _new(NumberReading, (n, tuple(groups)))
+    # Past the default labels: built afresh, so the tables stay bounded.
+    while rest:
         rest, value = divmod(rest, 1000)
         groups.append(_new(Group, (len(groups), value, _COMPONENTS[value])))
-        if not rest:
-            break
     return _new(NumberReading, (n, tuple(groups)))
 
 

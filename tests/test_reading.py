@@ -255,6 +255,49 @@ def test_nothing_is_built_at_import():
     assert proc.stdout.decode().split() == ["0", "0"]
 
 
+# -- the per-index tables of shared Group records ------------------------------
+
+
+def test_the_group_tables_hold_at_most_one_record_per_group_value():
+    rng = random.Random(19)
+    for _ in range(10**5):
+        decompose(rng.randrange(10**40))
+    assert len(reading_module._GROUPS) == len(DEFAULT_LABELS)
+    assert max(map(len, reading_module._GROUPS)) <= 1000
+
+
+def test_no_group_record_is_built_at_import():
+    code = (
+        "import abjadnum; from abjadnum import reading; "
+        "print(*map(len, reading._GROUPS))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().split() == ["0"] * len(DEFAULT_LABELS)
+
+
+def test_a_second_reading_hands_out_the_same_group_records():
+    first, second = decompose(999_999_999_999), decompose(999_999_999_999)
+    assert first == _reference_decompose(999_999_999_999)
+    assert [g.index for g in second.groups] == [0, 1, 2, 3]
+    assert all(a is b for a, b in zip(first.groups, second.groups, strict=True))
+    assert all(g is table[999] for g, table in zip(second.groups, reading_module._GROUPS))
+
+
+def test_a_group_past_the_default_labels_is_stored_nowhere():
+    n = 10**12 + 5
+    reading = decompose(n)
+    assert reading == _reference_decompose(n)
+    assert _record_types(reading) == _record_types(_reference_decompose(n))
+    *shared, past = reading.groups
+    assert (past.index, past.value) == (4, 1)
+    assert all(g is table[g.value] for g, table in zip(shared, reading_module._GROUPS))
+    assert not any(
+        record is past for table in reading_module._GROUPS for record in table.values()
+    )
+    assert decompose(n).groups[4] is not past
+
+
 def _hand_built(components):
     return NumberReading(2, (Group(0, 2, components),))
 

@@ -195,6 +195,87 @@ def test_a_concurrent_first_use_sees_whole_tables():
     )
 
 
+_GROUP_RACE = """\
+import random, sys, threading
+from abjadnum import Group, NumberReading, RankComponent, decompose, format_reading, reading
+
+THREADS, ROUNDS = 8, 50
+rng = random.Random(19)
+NUMBERS = [rng.randrange(10 ** rng.randint(1, 15)) for _ in range(200)] + [0, 10**12 + 5]
+barrier = threading.Barrier(THREADS, timeout=60)
+results, errors, stuck = [], [], 0
+
+def rank_loop(n):
+    groups, rest = [], n
+    while True:
+        value = rest % 1000
+        components = tuple(
+            RankComponent(rank, value // scale % 10 * scale)
+            for rank, scale in (("units", 1), ("tens", 10), ("hundreds", 100))
+            if value // scale % 10
+        )
+        groups.append(Group(len(groups), value, components))
+        rest //= 1000
+        if not rest:
+            return NumberReading(n, tuple(groups))
+
+def first_use(order):
+    barrier.wait()
+    try:
+        results.append({n: decompose(n) for n in order})
+    except Exception as err:
+        errors.append(repr(err))
+
+EXPECTED = {n: rank_loop(n) for n in NUMBERS}
+calls = differing = unshared = 0
+# Each round empties every group table, so that its first use races again;
+# each thread reads the numbers in its own order, so they miss on different ones.
+sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+try:
+    for _ in range(ROUNDS):
+        for table in reading._GROUPS:
+            table.clear()
+        results.clear()
+        threads = [threading.Thread(target=first_use, args=(NUMBERS[25 * i:] + NUMBERS[:25 * i],))
+                   for i in range(THREADS)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            stuck += thread.is_alive()
+        calls += len(results)
+        for readings in results:
+            differing += readings != EXPECTED
+            differing += any(
+                format_reading(readings[n], "rtl", LABELS) != format_reading(EXPECTED[n], "rtl", LABELS)
+                for n in NUMBERS
+            )
+            # A record of a shared index is the one its table holds.
+            unshared += sum(
+                group is not table[group.value]
+                for got in readings.values()
+                for group, table in zip(got.groups, reading._GROUPS)
+            )
+finally:
+    sys.setswitchinterval(0.005)
+print(repr(dict(
+    errors=sorted(set(errors)),
+    stuck=stuck,
+    calls=calls,
+    differing=differing,
+    unshared=unshared,
+    tables=len(reading._GROUPS),
+    largest=max(map(len, reading._GROUPS)),
+)))
+"""
+
+
+def test_threads_racing_the_first_reading_share_whole_group_records():
+    seen = ast.literal_eval(_fresh(_GROUP_RACE, LABELS=tuple(f"L{i}" for i in range(6))))
+    assert seen.pop("largest") <= 1000, seen
+    assert seen == dict(errors=[], stuck=0, calls=8 * 50, differing=0, unshared=0, tables=4)
+
+
 # The 40 public names, in the order __all__ has always listed them.
 PUBLIC = [
     "ABJADI_SEQUENCE", "Alphabet", "Letter", "letters", "letter_by_value",
