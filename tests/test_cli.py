@@ -15,7 +15,19 @@ from abjadnum import (
     gregorian_to_hijri_year,
     hijri_to_gregorian_year,
 )
-from abjadnum.cli import main
+from abjadnum.cli import build_parser, main
+
+# Each subcommand and the options it requires.
+REQUIRED = {
+    "encode": ["--alphabet", "arabic"],
+    "decode": ["--alphabet", "arabic"],
+    "gematria": ["--alphabet", "arabic"],
+    "translit": ["--from", "western", "--to", "mashreki"],
+    "read": [],
+    "provenance": ["--script", "western"],
+    "hijri": [],
+}
+COMMANDS = list(REQUIRED)
 
 
 def run_cli(capsys, *argv):
@@ -225,6 +237,43 @@ class TestUsageErrors:
             sys, "stdin", types.SimpleNamespace(buffer=io.BytesIO(b"  \n"))
         )
         assert main(["decode", "--alphabet", "arabic"]) == 2
+
+
+def _exit(parser, argv, capsys):
+    """The exit code, stdout and stderr of `parser` given `argv`, which ends it."""
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+class TestOneCommandParser:
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_prints_what_the_full_parser_prints(self, capsys, name):
+        assert build_parser(name).format_usage() == build_parser().format_usage()
+        helped = _exit(build_parser(name), [name, "--help"], capsys)
+        assert helped == _exit(build_parser(), [name, "--help"], capsys)
+        assert helped[0] == 0 and helped[1].startswith(f"usage: abjadnum {name} ")
+        # argparse rejects an unknown option with the top-level usage.
+        argv = [name, *REQUIRED[name], "--bogus", "7"]
+        rejected = _exit(build_parser(name), argv, capsys)
+        assert rejected == _exit(build_parser(), argv, capsys)
+        assert rejected[0] == 2
+        assert rejected[2].split()[:4] == ["usage:", "abjadnum", "[-h]",
+                                           "{" + ",".join(COMMANDS) + "}"]
+        assert rejected[2].endswith("unrecognized arguments: --bogus\n")
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_holds_its_subcommand_alone(self, capsys, name):
+        other = COMMANDS[COMMANDS.index(name) - 1]
+        code, _, err = _exit(build_parser(name), [other, "--help"], capsys)
+        assert code == 2 and f"invalid choice: '{other}'" in err
+
+    @pytest.mark.parametrize("command", [None, "frobnicate"])
+    def test_any_other_argument_builds_all_seven(self, capsys, command):
+        for name in COMMANDS:
+            code, out, _ = _exit(build_parser(command), [name, "--help"], capsys)
+            assert code == 0 and out.startswith(f"usage: abjadnum {name} ")
 
 
 def test_console_entry_point_emits_utf8():

@@ -6,7 +6,9 @@ name imports the module that exports it (and what that module imports).
 the skip rule of codec on its first miss, and the digit-provenance TSV is
 read on the first ``digit_provenance`` call.  ``dataclasses`` and
 ``inspect`` (whose import pulls in ``ast``, ``dis`` and ``tokenize``) are
-never loaded, neither by the import nor by a call.  Each case runs in a fresh
+never loaded, neither by the import nor by a call.  ``import abjadnum.cli``
+loads no library module but ``alphabets`` and ``errors``, and a CLI call
+loads the modules of its own subcommand alone.  Each case runs in a fresh
 interpreter with this checkout's ``src`` on PYTHONPATH, and compares
 ``sys.modules`` before and after, so a ``site`` that already imports one
 of these modules does not fail it.
@@ -123,6 +125,8 @@ def pytest_generate_tests(metafunc):
         metafunc.parametrize("first_use", list(FIRST_USES))
     if "statement" in metafunc.fixturenames:
         metafunc.parametrize("statement", list(LAZY_LOADS))
+    if "command" in metafunc.fixturenames:
+        metafunc.parametrize("command", list(CLI_LOADS))
 
 
 def test_a_first_use_answers_as_a_warm_process(first_use):
@@ -331,6 +335,45 @@ def test_a_first_use_loads_only_the_modules_it_needs(statement):
     seen = ast.literal_eval(_fresh(_LAZY, STATEMENT=statement))
     modules, error = LAZY_LOADS[statement]
     assert seen == dict(bare=[], loaded=modules, error=error)
+
+
+# Each subcommand -> a first cli.main call, what it prints, and the library
+# modules it loads after `import abjadnum.cli`.
+CLI_LOADS = {
+    "encode": (["encode", "--alphabet", "arabic", "1245"], "همرغ\n", ["codec", "digits"]),
+    "decode": (["decode", "--alphabet", "arabic", "همرغ"], "1245\n", ["codec"]),
+    "gematria": (["gematria", "--alphabet", "arabic", "احمد زينب"], "122\n", ["codec"]),
+    "translit": (["translit", "--from", "western", "--to", "mashreki", "1225"], "١٢٢٥\n",
+                 ["digits"]),
+    "read": (["read", "--direction", "ltr", "12457892"], "12 millions 457 mille 892\n",
+             ["digits", "reading"]),
+    "provenance": (["provenance", "--script", "western", "0"],
+                   "arabic Sad ص: first letter of the word Sifr, the Arabic name of zero; "
+                   "not picked for its letter value\n", ["digits"]),
+    "hijri": (["hijri", "1225"], "1810\n", ["chronology", "digits"]),
+}
+
+_CLI = """\
+import io, sys
+
+def loaded():
+    return {name[9:] for name in sys.modules if name.startswith("abjadnum.")}
+
+from abjadnum import cli
+imported = loaded()
+stdout, sys.stdout = sys.stdout, io.StringIO()
+code = cli.main(ARGV)
+printed, sys.stdout = sys.stdout.getvalue(), stdout
+print(repr(dict(imported=sorted(imported), called=sorted(loaded() - imported), code=code,
+                printed=printed)))
+"""
+
+
+def test_a_cli_call_loads_only_the_modules_of_its_subcommand(command):
+    argv, printed, modules = CLI_LOADS[command]
+    seen = ast.literal_eval(_fresh(_CLI, ARGV=argv))
+    assert seen == dict(imported=["alphabets", "cli", "errors"], called=modules, code=0,
+                        printed=printed)
 
 
 _NAMESPACE = """\
