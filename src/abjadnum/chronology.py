@@ -3,8 +3,8 @@
 The Hijri calendar is lunar: one Hijri year is about 0.970224 Gregorian
 years, with year 1 AH starting in 622 CE.  Linear rounding at year
 granularity is all the manuscript dates need; no month/day calendar here.
-The arithmetic is exact integer arithmetic, rounding halves to even, so
-any size of year converts.
+The arithmetic is exact integer arithmetic, rounding to the nearest year
+(halves up, which here equals halves to even), so any size of year converts.
 """
 
 from .errors import PreEpoch, check_int, int_text
@@ -18,11 +18,13 @@ HIJRI_EPOCH_CE = 622
 
 
 def _round_div(num: int, den: int) -> int:
-    """num / den rounded to the nearest integer, halves to even (den > 0)."""
-    q, r = divmod(num, den)
-    if 2 * r > den or (2 * r == den and q % 2):
-        q += 1
-    return q
+    """num / den rounded to the nearest integer, halves up (den > 0)."""
+    # Halves up equals halves to even on every input of the two callers.
+    # hijri_to_gregorian_year meets no half: 970224 * h = 922600 (mod 10**6) has
+    # no solution, as 16 divides 970224 and 10**6 but not 922600.
+    # gregorian_to_hijri_year meets one only at g = 46307 (mod 60639), where the
+    # quotient is odd: odd at 46307, it grows by 62500 = 60639 * 10**6 / 970224.
+    return (2 * num + den) // (2 * den)
 
 
 def hijri_to_gregorian_year(h: int) -> int:

@@ -5,11 +5,11 @@ the units: 12457892 becomes "2 et 90 et 800 ; 7 et 50 et 400 mille ; 2 et
 10 millions".  A left-to-right reader first regroups, then reads the group
 values from the top: "12 millions 457 mille 892".
 
-A group value is one of 0..999, and each has one components tuple, kept in
-a table that is filled on first use (nothing is built at import) and never
-holds more than 1000 entries.  The right-to-left speech of each of those
-tuples is kept beside it and found by the tuple's identity, which the table
-keeps alive; any other components (a hand-built group) are spoken afresh.
+A group value is one of 0..999, and each has one components tuple and one
+right-to-left speech, each kept in a table keyed by the value.  Both tables
+are filled on first use (nothing is built at import) and never hold more
+than 1000 entries.  A reading is narrated from its groups' indices and
+values alone, so a hand-built group reads the same in both directions.
 
 A Group is fixed by its index and value, so the groups of the indices the
 default labels can name (0..3) are shared the same way: one table per index,
@@ -54,28 +54,28 @@ _UNITS, _TENS, _HUNDREDS = tuple(
 
 _new = tuple.__new__  # positional record construction, as namedtuple's _make
 
-# id of a components tuple held by _COMPONENTS -> its right-to-left speech.
-_SPOKEN: dict[int, str] = {}
-
-
-def _speak(components) -> str:
-    return " et ".join([str(c.value) for c in components])
-
 
 class _Components(dict):
     """Group value -> its components tuple; a miss builds and stores it."""
 
     def __missing__(self, value: int) -> tuple[RankComponent, ...]:
-        # setdefault: two threads that miss together still share one tuple,
-        # so no id in _SPOKEN outlives its tuple.
-        components = self.setdefault(
+        # setdefault: two threads that miss together still share one tuple.
+        return self.setdefault(
             value, _UNITS[value % 10] + _TENS[value // 10 % 10] + _HUNDREDS[value // 100]
         )
-        _SPOKEN[id(components)] = _speak(components)
-        return components
 
 
 _COMPONENTS = _Components()
+
+
+class _Spoken(dict):
+    """Group value -> its right-to-left speech; a miss builds and stores it."""
+
+    def __missing__(self, value: int) -> str:
+        return self.setdefault(value, " et ".join([str(c.value) for c in _COMPONENTS[value]]))
+
+
+_SPOKEN = _Spoken()
 
 
 class _Groups(dict):
@@ -122,12 +122,13 @@ def format_reading(
 ) -> str:
     """Narrate a reading right-to-left (units first) or left-to-right.
 
-    Right-to-left joins each group's components with " et " and appends the
-    group's scale label; groups are separated by " ; ", or joined with
-    " et " throughout when figure_exact is set.  Left-to-right emits each
-    nonzero group's value and label from the most significant group down.
-    Zero is "0" either way.  Each group's index, a non-negative int (not a
-    bool), is the position of its label.
+    Right-to-left speaks each nonzero group's components joined with " et "
+    and appends its scale label; groups are separated by " ; ", or joined
+    with " et " throughout when figure_exact is set.  Left-to-right emits
+    each nonzero group's value and label from the most significant group
+    down.  Zero is "0" either way.  Both read only each group's index, a
+    non-negative int (not a bool) that is the position of its label, and its
+    value, which must be an int (not a bool) in 0..999.
     """
     try:
         groups = reading.groups
@@ -151,35 +152,30 @@ def format_reading(
     if too_few:
         raise InsufficientLabels(f"{count} groups but only {len(labels)} labels")
     direction = check_text("direction", direction)
+    rtl = direction == RIGHT_TO_LEFT
+    if not rtl and direction != LEFT_TO_RIGHT:
+        raise ValueError(f"direction must be {RIGHT_TO_LEFT!r} or {LEFT_TO_RIGHT!r}")
+    parts = []
     try:
-        if direction == RIGHT_TO_LEFT:
-            parts = []
-            for group in groups:
-                index = group.index
-                if index < 0 or index is True or index is False:
-                    raise TypeError
-                label = labels[index]
-                components = group.components
-                if not components:
-                    continue
-                spoken = _SPOKEN.get(id(components)) or _speak(components)
-                parts.append(f"{spoken} {label}" if label else spoken)
-            joiner = " et " if figure_exact else " ; "
-            return joiner.join(parts) if parts else "0"
-        if direction == LEFT_TO_RIGHT:
-            parts = []
-            for group in reversed(groups):
-                index = group.index
-                if index < 0 or index is True or index is False:
-                    raise TypeError
-                label = labels[index]
-                if group.value == 0:
-                    continue
-                parts.append(f"{group.value} {label}" if label else str(group.value))
-            return " ".join(parts) if parts else "0"
-    except (AttributeError, IndexError, TypeError, ValueError):
+        for group in groups:
+            index = group.index
+            if index < 0 or index is True or index is False:
+                raise TypeError
+            label = labels[index]
+            value = group.value
+            if type(value) is not int or not 0 <= value <= 999:
+                raise TypeError
+            if value:
+                said = _SPOKEN[value] if rtl else str(value)
+                parts.append(f"{said} {label}" if label else said)
+    except (AttributeError, IndexError, TypeError):
         # A group that is not a Group, or one whose index is negative, a bool,
-        # not usable as a position or past the labels, whose components are not
-        # RankComponents or whose value has too many digits.
+        # not usable as a position or past the labels, or whose value is not
+        # an int in 0..999.
         raise wrong_type("reading.groups", "a tuple of Group", groups) from None
-    raise ValueError(f"direction must be {RIGHT_TO_LEFT!r} or {LEFT_TO_RIGHT!r}")
+    if not parts:
+        return "0"
+    if rtl:
+        return (" et " if figure_exact else " ; ").join(parts)
+    parts.reverse()
+    return " ".join(parts)

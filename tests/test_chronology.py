@@ -82,3 +82,11 @@ class TestExactArithmetic:
         assert hijri_to_gregorian_year(year) == round(RATIO * year + OFFSET)
         if year >= 622:
             assert gregorian_to_hijri_year(year) == max(1, round((year - OFFSET) / RATIO))
+
+    @pytest.mark.parametrize("k", [0, 1, 10**20, 10**40 + 3], ids=["0", "1", "1e20", "1e40+3"])
+    def test_a_tie_rounds_as_halves_to_even(self, k):
+        # g = 46307 (mod 60639) is the one class of years whose Hijri year
+        # lies exactly halfway between two integers.
+        g = 46307 + 60639 * k
+        assert 2 * ((g - OFFSET) % RATIO) == RATIO
+        assert gregorian_to_hijri_year(g) == round((g - OFFSET) / RATIO)

@@ -127,6 +127,22 @@ class TestStdin:
         code, out, _ = run_cli(capsys, "encode", "--alphabet", "arabic")
         assert (code, out) == (0, "ر\n")
 
+    @pytest.mark.parametrize(
+        "argv, text, printed",
+        [
+            (["hijri"], "1225\r\n", "1810"),
+            (["hijri"], "\t1225\t\n", "1810"),
+            (["decode", "--alphabet", "arabic", "--strict"], "همرغ\r\n", "1245"),
+        ],
+        ids=["hijri-crlf", "hijri-tabs", "decode-strict-crlf"],
+    )
+    def test_carriage_returns_and_tabs_around_the_input_are_stripped(
+        self, capsys, monkeypatch, argv, text, printed
+    ):
+        self._feed(monkeypatch, text)
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == (0, printed + "\n")
+
 
 class TestJson:
     def test_encode_payload(self, capsys):

@@ -304,8 +304,6 @@ _FIVE = decompose(5).groups[0].components
          "reading.groups must be a tuple of Group, not tuple"),
         (lambda: abjadnum.format_reading(NumberReading(5, (Group("x", 5, _FIVE),))), ValueError,
          "reading.groups must be a tuple of Group, not tuple"),
-        (lambda: abjadnum.format_reading(NumberReading(5, (Group(0, 5, 5),))), ValueError,
-         "reading.groups must be a tuple of Group, not tuple"),
         (lambda: abjadnum.format_reading(NumberReading(3, {1, 2}), "ltr"), ValueError,
          "reading.groups must be a tuple of Group, not set"),
         (lambda: abjadnum.format_reading(NumberReading(1, (Group(0, 10**5000, ()),)), "ltr"),
@@ -320,7 +318,7 @@ _FIVE = decompose(5).groups[0].components
          "format_reading-none-groups", "format_reading-int-groups",
          "format_reading-int-groups-ltr", "format_reading-set-labels",
          "format_reading-dict-labels", "format_reading-group-index-5",
-         "format_reading-group-index-str", "format_reading-int-components",
+         "format_reading-group-index-str",
          "format_reading-set-groups-ltr", "format_reading-huge-group-value-ltr"],
 )
 def test_a_wrong_argument_type_is_a_value_error(call, error, message):

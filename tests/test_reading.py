@@ -233,7 +233,7 @@ def test_reading_matches_the_rank_loop(n, mode, labels):
     )
 
 
-# -- the per-group-value table and the speech found by identity --------------
+# -- the per-group-value tables of components and speech ----------------------
 
 
 def test_the_group_table_holds_at_most_one_entry_per_group_value():
@@ -302,21 +302,38 @@ def _hand_built(components):
     return NumberReading(2, (Group(0, 2, components),))
 
 
+@pytest.mark.parametrize("direction", ["rtl", "ltr"])
 @pytest.mark.parametrize(
-    "reading, spoken",
+    "reading, read",
     [
-        # The first two equal decompose(2)'s components tuple, which the table
-        # holds; a table keyed by equality would speak them as "2".
-        (_hand_built((RankComponent("units", 2.0),)), "2.0"),
-        (_hand_built((RankComponent("units", True),)), "True"),
+        # Whatever a hand-built group holds as components, both directions
+        # read its value; the components are never looked at.
+        (_hand_built((RankComponent("units", 2.0),)), "2"),
+        (_hand_built((RankComponent("units", True),)), "2"),
         (_hand_built((RankComponent("units", 2),)), "2"),
-        (_hand_built([RankComponent("units", 2), RankComponent("tens", 10)]), "2 et 10"),
+        (_hand_built([RankComponent("units", 2), RankComponent("tens", 10)]), "2"),
+        (NumberReading(5, (Group(0, 5, 5),)), "5"),
+        (NumberReading(5, (Group(0, 5, ()),)), "5"),
     ],
-    ids=["float", "bool", "equal-tuple", "list"],
+    ids=["float", "bool", "equal-tuple", "list", "int-components", "empty-components"],
 )
-def test_hand_built_components_are_spoken_as_they_are(reading, spoken):
-    decompose(2)
-    assert format_reading(reading, "rtl") == spoken
+def test_a_hand_built_group_is_read_from_its_value(reading, read, direction):
+    assert format_reading(reading, direction) == read
+
+
+@pytest.mark.parametrize("direction", ["rtl", "ltr"])
+@pytest.mark.parametrize(
+    "value", [-1, 1000, True, 5.0, "5", None], ids=["-1", "1000", "True", "float", "str", "None"]
+)
+def test_a_group_value_is_an_int_from_0_to_999(value, direction):
+    # A bool or a float would find a speech by hashing equal to an int, and
+    # print as "True" or "5.0" left-to-right; -1 and 1000 have no speech.
+    reading = NumberReading(5, (Group(0, value, decompose(5).groups[0].components),))
+    with pytest.raises(ValueError) as exc:
+        format_reading(reading, direction)
+    assert (type(exc.value), str(exc.value)) == (
+        ValueError, "reading.groups must be a tuple of Group, not tuple"
+    )
 
 
 @pytest.mark.parametrize("direction", ["rtl", "ltr"])

@@ -8,6 +8,8 @@ For each interpreter, in order, it runs from the repository root with only
 - ``transcript``: ``tests/test_cli_transcript.py --check``;
 - ``readme``: ``-m doctest README.md``;
 - ``startup``: ``tests/test_startup.py``, which needs no pytest;
+- ``smoke``: ``tools/smoke.py``, from a temp dir holding a copy of
+  ``src/abjadnum``, which is then all that is on PYTHONPATH;
 - ``tier1``: the Tier-1 command, ``-m pytest -q --continue-on-collection-errors``,
   when the interpreter can import pytest and hypothesis from its own
   site-packages or from DIR, and skipped otherwise.
@@ -22,8 +24,10 @@ the check, and ``ok`` with the seconds taken and the last line of output, or
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -33,6 +37,7 @@ CHECKS = {
     "transcript": ["tests/test_cli_transcript.py", "--check"],
     "readme": ["-m", "doctest", "README.md"],
     "startup": ["tests/test_startup.py"],
+    "smoke": [str(ROOT / "tools" / "smoke.py")],
     "tier1": ["-m", "pytest", "-q", "--continue-on-collection-errors"],
 }
 # Run first, under the same PYTHONPATH, to decide whether tier1 can run.
@@ -40,10 +45,19 @@ TIER1_NEEDS = ["-c", "import pytest, hypothesis"]
 TIMEOUT_S = 900
 
 
-def _run(python: str, args: list[str], pythonpath: str) -> subprocess.CompletedProcess:
+def _run(python: str, args: list[str], pythonpath: str,
+         cwd: Path = ROOT) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": pythonpath}
-    return subprocess.run([python, *args], cwd=ROOT, env=env, capture_output=True,
+    return subprocess.run([python, *args], cwd=cwd, env=env, capture_output=True,
                           text=True, errors="replace", timeout=TIMEOUT_S)
+
+
+def _smoke(python: str, args: list[str]) -> subprocess.CompletedProcess:
+    # The smoke script refuses a package that imports from inside the checkout.
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(ROOT / "src" / "abjadnum", Path(tmp) / "abjadnum",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        return _run(python, args, tmp, cwd=Path(tmp))
 
 
 def _last_line(proc: subprocess.CompletedProcess) -> str:
@@ -75,7 +89,10 @@ def check(python: str, packages: str | None) -> bool:
                 continue
         start = time.perf_counter()
         try:
-            proc = _run(python, args, pythonpath)
+            if name == "smoke":
+                proc = _smoke(python, args)
+            else:
+                proc = _run(python, args, pythonpath)
             ok, detail = proc.returncode == 0, _last_line(proc)
         except subprocess.TimeoutExpired:
             ok, detail = False, f"timed out after {TIMEOUT_S} s"
