@@ -1,10 +1,23 @@
-"""Year-level Hijri/Gregorian conversion, good to about one year.
+"""Year-level Hijri/Gregorian conversion: each answer is a year that
+overlaps the given one.
 
 The Hijri calendar is lunar: one Hijri year is about 0.970224 Gregorian
 years, with year 1 AH starting in 622 CE.  Linear rounding at year
 granularity is all the manuscript dates need; no month/day calendar here.
 The arithmetic is exact integer arithmetic, rounding to the nearest year
 (halves up, which here equals halves to even), so any size of year converts.
+
+The calendar the answers are stated in is the arithmetical (tabular)
+Islamic calendar: year 1 AH starts on Julian day number 1948440 (16 July
+622 Julian), and years 2, 5, 7, 10, 13, 16, 18, 21, 24, 26 and 29 of each
+30-year cycle have 355 days, the others 354; Gregorian years are proleptic.
+In it, ``hijri_to_gregorian_year(h)`` is one of the two Gregorian years that
+Hijri year h overlaps (the one in which h starts for 4931 of h = 1..10**4),
+and ``gregorian_to_hijri_year(g)`` is one of the Hijri years that overlap
+Gregorian year g.  Both hold for every h up to 455637 and g up to 456833,
+and the tests check each year up to 10**4; past those the fixed ratio drifts
+from the tabular mean year.  Observed or Umm al-Qura dates can differ from
+the tabular ones by a day or two, so near a year's edge their year can too.
 """
 
 from .errors import PreEpoch, check_int, int_text
@@ -28,7 +41,8 @@ def _round_div(num: int, den: int) -> int:
 
 
 def hijri_to_gregorian_year(h: int) -> int:
-    """Approximate Gregorian year of Hijri year h (may be off by one)."""
+    """A Gregorian year that Hijri year h overlaps (tabular calendar, h up to
+    455637): the year in which h starts or the one in which it ends."""
     h = check_int("h", h)
     if h < 1:
         raise ValueError("Hijri years start at 1")
@@ -36,7 +50,8 @@ def hijri_to_gregorian_year(h: int) -> int:
 
 
 def gregorian_to_hijri_year(g: int) -> int:
-    """Approximate Hijri year of Gregorian year g (may be off by one)."""
+    """A Hijri year that overlaps Gregorian year g (tabular calendar, g up to
+    456833)."""
     g = check_int("g", g)
     if g < HIJRI_EPOCH_CE:
         raise PreEpoch(f"{int_text(g)} CE precedes the first Hijri year ({HIJRI_EPOCH_CE} CE)")

@@ -8,14 +8,14 @@ when it is absent.
 A process builds the parser of the one subcommand that its first argument
 names, and imports only the library modules that subcommand uses:
 importing this module loads ``alphabets`` and ``errors``, and the rest are
-imported where a subparser or a subcommand needs them (``json`` for --json
-output only).  Any other first argument (none, ``-h``, a misspelt command)
-builds all seven subparsers, so its help and its errors are the full
-parser's.  A one-command build gives the command argument all seven names
-as its metavar, so that the usage line argparse prints with an error such
-as ``hijri --bogus 7`` is the full build's.  The full build leaves the
-metavar unset: argparse would also print it in place of the name
-``command`` in its missing-command and invalid-choice errors.
+imported where a subparser or a subcommand needs them.  Any other first
+argument (none, ``-h``, a misspelt command) builds all seven subparsers, so
+its help and its errors are the full parser's.  A one-command build gives
+the command argument all seven names as its metavar, so that the usage line
+argparse prints with an error such as ``hijri --bogus 7`` is the full
+build's.  The full build leaves the metavar unset: argparse would also print
+it in place of the name ``command`` in its missing-command and
+invalid-choice errors.
 """
 
 import argparse
@@ -41,19 +41,36 @@ def _text_input(given: str | None) -> str:
     return sys.stdin.buffer.read().decode("utf-8").strip()
 
 
-def _plain(result):
-    """A result as JSON-ready values: records become dicts, tuples lists."""
+# json's escapes for a str: the two-character ones, and \u00XX for the rest of
+# U+0000..001F.  Every other character, DEL and U+2028 included, is written as is.
+_ESCAPES = str.maketrans({**{chr(i): f"\\u{i:04x}" for i in range(32)}, '"': '\\"',
+                          "\\": "\\\\", "\b": "\\b", "\t": "\\t", "\n": "\\n",
+                          "\f": "\\f", "\r": "\\r"})
+
+
+def _json(result) -> str:
+    """A result as the line json.dumps(..., ensure_ascii=False) writes for it,
+    once records become objects, tuples arrays and enums their values."""
     if isinstance(result, Letter):
-        return {"codepoint": result.codepoint, "name": result.name, "value": result.value}
-    if hasattr(result, "_asdict"):
+        result = {"codepoint": result.codepoint, "name": result.name, "value": result.value}
+    elif hasattr(result, "_asdict"):
         result = result._asdict()
     if isinstance(result, dict):
-        return {key: _plain(value) for key, value in result.items()}
-    if isinstance(result, tuple):
-        return [_plain(item) for item in result]
+        return "{" + ", ".join([f"{_json(key)}: {_json(value)}"
+                                for key, value in result.items()]) + "}"
+    if isinstance(result, (tuple, list)):
+        return "[" + ", ".join([_json(item) for item in result]) + "]"
     if isinstance(result, Enum):
-        return result.value
-    return result
+        result = result.value
+    if isinstance(result, str):
+        return '"' + result.translate(_ESCAPES) + '"'
+    if result is None:
+        return "null"
+    if isinstance(result, bool):
+        return "true" if result else "false"
+    if isinstance(result, int):
+        return int.__repr__(result)
+    raise TypeError(f"Object of type {type(result).__name__} is not JSON serializable")
 
 
 def _run(args) -> tuple[str, dict]:
@@ -195,11 +212,7 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
-    if args.json:
-        import json
-
-        text = json.dumps(_plain(payload), ensure_ascii=False)
-    print(text)
+    print(_json(payload) if args.json else text)
     return 0
 
 

@@ -127,8 +127,9 @@ def format_reading(
     with " et " throughout when figure_exact is set.  Left-to-right emits
     each nonzero group's value and label from the most significant group
     down.  Zero is "0" either way.  Both read only each group's index, a
-    non-negative int (not a bool) that is the position of its label, and its
-    value, which must be an int (not a bool) in 0..999.
+    non-negative int (not a bool) that is the position of its label and is
+    greater than the index of the group before it, and its value, which must
+    be an int (not a bool) in 0..999.  reading.value is not read.
     """
     try:
         groups = reading.groups
@@ -156,11 +157,13 @@ def format_reading(
     if not rtl and direction != LEFT_TO_RIGHT:
         raise ValueError(f"direction must be {RIGHT_TO_LEFT!r} or {LEFT_TO_RIGHT!r}")
     parts = []
+    last = -1
     try:
         for group in groups:
             index = group.index
-            if index < 0 or index is True or index is False:
+            if index <= last or index is True or index is False:
                 raise TypeError
+            last = index
             label = labels[index]
             value = group.value
             if type(value) is not int or not 0 <= value <= 999:
@@ -169,9 +172,9 @@ def format_reading(
                 said = _SPOKEN[value] if rtl else str(value)
                 parts.append(f"{said} {label}" if label else said)
     except (AttributeError, IndexError, TypeError):
-        # A group that is not a Group, or one whose index is negative, a bool,
-        # not usable as a position or past the labels, or whose value is not
-        # an int in 0..999.
+        # A group that is not a Group, or one whose index is negative, not
+        # above the one before it, a bool, not usable as a position or past
+        # the labels, or whose value is not an int in 0..999.
         raise wrong_type("reading.groups", "a tuple of Group", groups) from None
     if not parts:
         return "0"

@@ -1,3 +1,4 @@
+from datetime import date
 from fractions import Fraction
 
 import pytest
@@ -90,3 +91,62 @@ class TestExactArithmetic:
         g = 46307 + 60639 * k
         assert 2 * ((g - OFFSET) % RATIO) == RATIO
         assert gregorian_to_hijri_year(g) == round((g - OFFSET) / RATIO)
+
+
+# The arithmetical (tabular) Islamic calendar, in integer arithmetic: the
+# Julian day number on which Hijri year h starts (epoch JDN 1948440, that is
+# 16 July 622 Julian), and the proleptic Gregorian year of a Julian day number
+# by the Fliegel-Van Flandern algorithm (exact for the positive day numbers here).
+def _tabular_start(h: int) -> int:
+    return 1948440 + 354 * (h - 1) + (3 + 11 * h) // 30
+
+
+def _gregorian_year(jdn: int) -> int:
+    l = jdn + 68569
+    n = 4 * l // 146097
+    l -= (146097 * n + 3) // 4
+    i = 4000 * (l + 1) // 1461001
+    l = l - 1461 * i // 4 + 31
+    j = 80 * l // 2447
+    return 100 * (n - 49) + i + j // 11
+
+
+# The Julian day number of proleptic Gregorian ordinal 0 (31 December 1 BCE).
+_JDN_OF_ORDINAL_0 = 1721425
+
+
+def _span(h: int) -> tuple[int, int]:
+    """The Gregorian years of Hijri year h's first and last day."""
+    return _gregorian_year(_tabular_start(h)), _gregorian_year(_tabular_start(h + 1) - 1)
+
+
+class TestTabularCalendar:
+    def test_the_oracle_is_the_tabular_calendar(self):
+        lengths = [_tabular_start(h + 1) - _tabular_start(h) for h in range(1, 31)]
+        assert [h for h, days in enumerate(lengths, 1) if days == 355] == [
+            2, 5, 7, 10, 13, 16, 18, 21, 24, 26, 29
+        ]
+        assert set(lengths) == {354, 355}
+        assert _tabular_start(31) - _tabular_start(1) == 10631
+        # 1 Muharram of 1 AH and of 1225 AH, as proleptic Gregorian dates.
+        assert _tabular_start(1) == _JDN_OF_ORDINAL_0 + date(622, 7, 19).toordinal()
+        assert _tabular_start(1225) == _JDN_OF_ORDINAL_0 + date(1810, 2, 6).toordinal()
+
+    def test_the_gregorian_year_of_a_day_is_the_calendar_year(self):
+        # Every first and last day of a Hijri year that datetime can date.
+        days = [_tabular_start(h) - offset for h in range(1, 9600) for offset in (0, 1)]
+        assert [_gregorian_year(jdn) for jdn in days] == [
+            date.fromordinal(jdn - _JDN_OF_ORDINAL_0).year for jdn in days
+        ]
+
+    def test_a_hijri_year_converts_to_a_gregorian_year_it_overlaps(self):
+        missed = [h for h in range(1, 10**4 + 1) if hijri_to_gregorian_year(h) not in _span(h)]
+        assert missed == []
+
+    def test_a_gregorian_year_converts_to_a_hijri_year_that_overlaps_it(self):
+        missed = []
+        for g in range(622, 10**4 + 1):
+            first, last = _span(gregorian_to_hijri_year(g))
+            if not first <= g <= last:
+                missed.append(g)
+        assert missed == []

@@ -3,19 +3,25 @@ import json
 import subprocess
 import sys
 import types
+from enum import Enum
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from abjadnum import (
     Alphabet,
+    DigitScript,
+    Letter,
     decompose,
+    digit_provenance,
     encode,
     format_reading,
     gematria,
     gregorian_to_hijri_year,
     hijri_to_gregorian_year,
 )
-from abjadnum.cli import build_parser, main
+from abjadnum.cli import _json, build_parser, main
 
 # Each subcommand and the options it requires.
 REQUIRED = {
@@ -180,6 +186,67 @@ class TestJson:
         payload = json.loads(out)
         assert payload["alphabet"] == "hebrew"
         assert payload["letter"]["name"] == "Vav"
+
+
+def _oracle(result):
+    """The JSON-ready values that json.dumps was given before the CLI wrote
+    its own JSON: records become dicts, tuples lists."""
+    if isinstance(result, Letter):
+        return {"codepoint": result.codepoint, "name": result.name, "value": result.value}
+    if hasattr(result, "_asdict"):
+        result = result._asdict()
+    if isinstance(result, dict):
+        return {key: _oracle(value) for key, value in result.items()}
+    if isinstance(result, tuple):
+        return [_oracle(item) for item in result]
+    if isinstance(result, Enum):
+        return result.value
+    return result
+
+
+# Every code point, with the ones json escapes or might be expected to
+# escape (controls, quote, backslash, DEL, U+2028, lone surrogates) made frequent.
+_TRICKY = [chr(c) for c in range(0x20)] + ['"', "\\", "\x7f", "\u2028", "\ud800", "\udfff"]
+_TEXT = st.text(st.sampled_from(_TRICKY) | st.characters(exclude_categories=()), max_size=10)
+_INTS = st.integers() | st.integers(1, 4000).flatmap(
+    lambda digits: st.integers(-(10**digits) + 1, 10**digits - 1)
+)
+_SCALARS = _TEXT | _INTS | st.sampled_from([True, False, None])
+# A list reaches json.dumps as it is, so it holds only plain JSON values.
+_PLAIN = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=5,
+)
+# One record of each type the seven subcommands return, and their enums.
+_RECORDS = [
+    encode(1245, Alphabet.ARABIC),
+    encode(1245, Alphabet.ARABIC).letters[0],
+    gematria("احمد زينب", Alphabet.ARABIC),
+    decompose(12457892),
+    decompose(12457892).groups[1],
+    decompose(12457892).groups[1].components[0],
+    digit_provenance(0, DigitScript.WESTERN),
+    Alphabet.HEBREW,
+    DigitScript.ORIGINAL_MAGHREBI,
+]
+_RESULTS = st.recursive(
+    _PLAIN | st.sampled_from(_RECORDS),
+    lambda inner: (st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=5,
+)
+
+
+@given(_RESULTS)
+def test_json_writes_what_json_dumps_wrote(result):
+    assert _json(result) == json.dumps(_oracle(result), ensure_ascii=False)
+
+
+def test_json_writes_every_code_point_as_json_dumps_did():
+    # A str is escaped one code point at a time, so this is every str.
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert _json(every) == json.dumps(every, ensure_ascii=False)
 
 
 class TestDomainErrors:

@@ -356,3 +356,32 @@ def test_a_group_index_is_a_non_negative_int(index, value, direction):
 def test_a_hand_built_group_index_picks_its_label(direction):
     reading = NumberReading(5000, (Group(1, 5, decompose(5).groups[0].components),))
     assert format_reading(reading, direction) == "5 mille"
+
+
+@pytest.mark.parametrize("direction", ["rtl", "ltr"])
+@pytest.mark.parametrize(
+    "groups",
+    [
+        (Group(1, 5, ()), Group(0, 5, ())),
+        (Group(0, 5, ()), Group(0, 5, ())),
+        (Group(0, 5, ()), Group(2, 5, ()), Group(1, 5, ())),
+        (Group(1, 0, ()), Group(1, 5, ())),
+    ],
+    ids=["descending", "repeated", "out-of-order-last", "repeated-after-zero"],
+)
+def test_group_indices_must_rise(groups, direction):
+    # Unchecked, the first two would read "5 mille ; 5" and "5 5", neither of
+    # which is the value the groups sum to (5005 and 10).
+    reading = NumberReading(sum(g.value * 1000 ** g.index for g in groups), groups)
+    with pytest.raises(ValueError) as exc:
+        format_reading(reading, direction)
+    assert (type(exc.value), str(exc.value)) == (
+        ValueError, "reading.groups must be a tuple of Group, not tuple"
+    )
+
+
+@pytest.mark.parametrize("direction, read", [("rtl", "5 ; 5 millions"), ("ltr", "5 millions 5")])
+def test_group_indices_may_skip(direction, read):
+    # reading.value is never read: 0 here, not 5000005.
+    reading = NumberReading(0, (Group(0, 5, ()), Group(2, 5, ())))
+    assert format_reading(reading, direction) == read

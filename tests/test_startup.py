@@ -2,11 +2,11 @@
 
 ``import abjadnum`` loads none of its modules: the first use of a public
 name imports the module that exports it (and what that module imports).
-``json`` is imported by the CLI for --json output only, ``unicodedata`` by
-the skip rule of codec on its first miss, and the digit-provenance TSV is
-read on the first ``digit_provenance`` call.  ``dataclasses`` and
-``inspect`` (whose import pulls in ``ast``, ``dis`` and ``tokenize``) are
-never loaded, neither by the import nor by a call.  ``import abjadnum.cli``
+``unicodedata`` is imported by the skip rule of codec on its first miss, and
+the digit-provenance TSV is read on the first ``digit_provenance`` call.
+``json`` is loaded by no call: the CLI writes its --json line itself.
+``dataclasses`` and ``inspect`` (whose import pulls in ``ast``, ``dis`` and
+``tokenize``) are never loaded, neither by the import nor by a call.  ``import abjadnum.cli``
 loads no library module but ``alphabets`` and ``errors``, and a CLI call
 loads the modules of its own subcommand alone.  Each case runs in a fresh
 interpreter with this checkout's ``src`` on PYTHONPATH, and compares
@@ -45,8 +45,8 @@ FIRST_USES = {
 LOADS = {
     "decode-harakat": {"unicodedata"},
     "gematria-shadda": {"unicodedata"},
-    "cli-provenance-json": {"json"},
-    "cli-gematria-json": {"json", "unicodedata"},
+    "cli-provenance-json": set(),
+    "cli-gematria-json": {"unicodedata"},
 }
 
 # The paths that read the provenance table, all 30 entries of it.
@@ -116,6 +116,19 @@ def test_import_loads_neither_json_nor_unicodedata_nor_the_provenance_table():
 def test_a_plain_cli_call_loads_no_json():
     seen = _first_call('cli.main(["encode", "--alphabet", "arabic", "1245"])')
     assert (seen["result"], seen["printed"]) == ("0", "همرغ\n")
+    assert "json" not in seen["cli"] + seen["called"], seen
+    assert seen["filled"] == 0
+
+
+def test_a_json_cli_call_loads_no_json():
+    seen = _first_call('cli.main(["encode", "--alphabet", "arabic", "--json", "1245"])')
+    assert (seen["result"], seen["printed"]) == ("0", (
+        '{"alphabet": "arabic", "value": 1245, "text": "همرغ", "letters": ['
+        '{"codepoint": "ه", "name": "Haa", "value": 5}, '
+        '{"codepoint": "م", "name": "Mim", "value": 40}, '
+        '{"codepoint": "ر", "name": "Raa", "value": 200}, '
+        '{"codepoint": "غ", "name": "Ghin", "value": 1000}]}\n'
+    ))
     assert "json" not in seen["cli"] + seen["called"], seen
     assert seen["filled"] == 0
 

@@ -130,6 +130,9 @@ CHECKS = [
      _succeeds),
     ("provenance-json-payload", _cli("provenance", "--script", "western", "0", "--json"),
      _reads_western_zero),
+    # The CLI writes its --json line without importing json.
+    ("json-output-loads-no-json", ("-c", "import sys; before = set(sys.modules); from abjadnum import cli; code = cli.main(['provenance', '--script', 'western', '0', '--json']); loaded = {'json'} & (set(sys.modules) - before); assert code == 0 and not loaded, (code, loaded)"),
+     lambda proc: _succeeds(proc) and _reads_western_zero(proc)),
 ]
 
 
