@@ -3,8 +3,9 @@
 The 28 Arabic letters carry the values {1..9, 10..90, 100..900, 1000}; the
 22 Hebrew letters stop at 400.  Both tables ship as TSV files next to this
 module (one line per letter: order, primary codepoint, comma-separated
-variant codepoints, name, value) and are loaded once at import; everything
-here is immutable afterwards.
+variant codepoints, name, value) and are loaded once at import, in file
+order: the rows must already be in letter-value order.  Everything here is
+immutable afterwards.
 """
 
 import os
@@ -53,7 +54,7 @@ def _rows(name: str) -> list[list[str]]:
 
 
 def _load(alphabet: Alphabet) -> tuple[Letter, ...]:
-    letters = [
+    return tuple(
         Letter(
             codepoint=primary,
             variants=tuple(v for v in variants.split(",") if v),
@@ -63,18 +64,12 @@ def _load(alphabet: Alphabet) -> tuple[Letter, ...]:
             alphabet=alphabet,
         )
         for order, primary, variants, name, value in _rows(alphabet.value)
-    ]
-    letters.sort(key=lambda letter: letter.order)
-    return tuple(letters)
+    )
 
 
 _LETTERS = {alphabet: _load(alphabet) for alphabet in Alphabet}
 _BY_VALUE = {
     alphabet: {letter.value: letter for letter in table}
-    for alphabet, table in _LETTERS.items()
-}
-_BY_NAME = {
-    alphabet: {letter.name: letter for letter in table}
     for alphabet, table in _LETTERS.items()
 }
 # Variant forms resolve to the same letter as the primary codepoint.
@@ -116,18 +111,6 @@ def letter_by_value(alphabet: Alphabet, value: int) -> Letter:
             f"({max_letter_value(alphabet)})"
         )
     raise NotAnAbjadiValue(f"{int_text(value)} is not a letter value")
-
-
-def letter_by_name(alphabet: Alphabet, name: str) -> Letter:
-    """The letter of `alphabet` called `name` (as in the TSV tables)."""
-    by_name = lookup(_BY_NAME, alphabet, "alphabet", "an Alphabet")
-    if isinstance(name, str):
-        name = check_text("name", name)
-    try:
-        return by_name[name]
-    except (KeyError, TypeError):  # TypeError: an unhashable name
-        shown = repr(name) if isinstance(name, str) else int_text(name)
-        raise UnknownLetter(f"{shown} is not the name of a {alphabet.value} letter") from None
 
 
 def letter_for_codepoint(codepoint: str) -> Letter:

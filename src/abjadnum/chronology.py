@@ -15,8 +15,8 @@ In it, ``hijri_to_gregorian_year(h)`` is one of the two Gregorian years that
 Hijri year h overlaps (the one in which h starts for 4931 of h = 1..10**4),
 and ``gregorian_to_hijri_year(g)`` is one of the Hijri years that overlap
 Gregorian year g.  Both hold for every h up to 455637 and g up to 456833,
-and the tests check each year up to 10**4; past those the fixed ratio drifts
-from the tabular mean year.  Observed or Umm al-Qura dates can differ from
+and the tests check each of those years; h = 455638 and g = 456834 already
+miss, because the fixed ratio drifts from the tabular mean year.  Observed or Umm al-Qura dates can differ from
 the tabular ones by a day or two, so near a year's edge their year can too.
 """
 

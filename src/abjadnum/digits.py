@@ -11,7 +11,8 @@ say together with the script tag.
 Each digit of each script descends from one Arabic or Hebrew letter; the
 provenance table ships as a TSV next to this module (script, digit, source
 alphabet, source letter name, transformation note).  It is read on the
-first ``digit_provenance`` call, not at import.
+first ``digit_provenance`` call, not at import, and each row's letter name
+is looked up among the ``letters()`` of the alphabet that row names.
 
 Rendering and transliteration go through ``str.translate`` tables built at
 import, one per script pair.  A text is first checked with ``str.lstrip``
@@ -29,7 +30,7 @@ that limit, rendering and parsing both raise a ValueError that names it.
 from collections import namedtuple
 from enum import Enum
 
-from .alphabets import Alphabet, _rows, letter_by_name
+from .alphabets import Alphabet, _rows, letters
 from .errors import InvalidGlyph, check_int, check_text, decimal, digit_limit, lookup
 
 
@@ -79,13 +80,14 @@ class DigitProvenance(namedtuple("DigitProvenance", "digit script alphabet lette
 
 def _read_provenance() -> dict[DigitScript, dict[int, DigitProvenance]]:
     """Script -> digit -> provenance, as the TSV lists them."""
+    by_name = {(a.value, letter.name): letter for a in Alphabet for letter in letters(a)}
     table = {}
     for name, digit, alphabet, letter_name, note in _rows("digit_provenance"):
         entry = DigitProvenance(
             digit=int(digit),
             script=DigitScript(name),
             alphabet=Alphabet(alphabet),
-            letter=letter_by_name(Alphabet(alphabet), letter_name),
+            letter=by_name[alphabet, letter_name],
             note=note,
         )
         table.setdefault(entry.script, {})[entry.digit] = entry

@@ -11,7 +11,6 @@ from abjadnum import (
     letters,
     max_letter_value,
 )
-from abjadnum.alphabets import letter_by_name
 
 EXPECTED_SEQUENCE = (
     1, 2, 3, 4, 5, 6, 7, 8, 9,
@@ -104,15 +103,6 @@ class TestLookups:
         for cp, alphabet, value in cases:
             letter = letter_for_codepoint(cp)
             assert (letter.alphabet, letter.value) == (alphabet, value)
-
-    def test_letter_by_name(self):
-        assert letter_by_name(Alphabet.HEBREW, "Vav").value == 6
-        with pytest.raises(UnknownLetter, match=r"^'Sad' is not the name of a hebrew letter$"):
-            letter_by_name(Alphabet.HEBREW, "Sad")
-
-    def test_letter_by_name_rejects_an_unhashable_name(self):
-        with pytest.raises(UnknownLetter, match=r"^\['Sad'\] is not the name of a arabic letter$"):
-            letter_by_name(Alphabet.ARABIC, ["Sad"])
 
     def test_value_of_letter_rejects_unknown(self):
         for cp in ("X", "1", "؟"):

@@ -150,3 +150,19 @@ class TestTabularCalendar:
             if not first <= g <= last:
                 missed.append(g)
         assert missed == []
+
+    def test_the_stated_hijri_limit_is_the_first_miss(self):
+        # The docstrings state the overlap for h up to 455637, and no further.
+        last = 455638
+        missed = [h for h in range(1, last + 1) if hijri_to_gregorian_year(h) not in _span(h)]
+        assert missed == [last]
+
+    def test_the_stated_gregorian_limit_is_the_first_miss(self):
+        # The docstrings state the overlap for g up to 456833, and no further.
+        last = 456834
+        missed = []
+        for g in range(622, last + 1):
+            first, end = _span(gregorian_to_hijri_year(g))
+            if not first <= g <= end:
+                missed.append(g)
+        assert missed == [last]

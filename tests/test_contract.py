@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 import abjadnum
 from abjadnum import Alphabet, DigitScript, Group, NumberReading, RankComponent, decompose
-from abjadnum.alphabets import letter_by_name
 from abjadnum.cli import main
 
 _ENUMS = [*Alphabet, *DigitScript]
@@ -273,9 +272,6 @@ _FIVE = decompose(5).groups[0].components
          "alphabet must be an Alphabet, not list"),
         (lambda: abjadnum.letter_for_codepoint([1]), ValueError,
          "codepoint must be a str, not list"),
-        (lambda: letter_by_name(A, 10**5000), abjadnum.UnknownLetter,
-         f"a number of more than {sys.get_int_max_str_digits()} digits "
-         "is not the name of a arabic letter"),
         (lambda: abjadnum.format_reading("١٢"), ValueError,
          "reading must be a NumberReading, not str"),
         (lambda: abjadnum.format_reading(decompose(12), labels=5), ValueError,
@@ -312,7 +308,7 @@ _FIVE = decompose(5).groups[0].components
     ids=["digit_provenance", "render_digits", "parse_digits", "transliterate-src",
          "transliterate-dst", "gematria-ignore", "letter_by_value-str",
          "letter_by_value-DigitScript", "letters", "max_letter_value", "letter_for_codepoint",
-         "letter_by_name-huge", "format_reading", "format_reading-labels",
+         "format_reading", "format_reading-labels",
          "format_reading-bytes-labels", "format_reading-int-labels",
          "format_reading-huge-labels", "letter_by_value-huge-list", "format_reading-str-labels",
          "format_reading-none-groups", "format_reading-int-groups",
@@ -482,8 +478,6 @@ def _with(base, **methods):
          (int, "1")),
         (abjadnum.hijri_to_gregorian_year, (_with(int, __lt__=lambda *a: True)(1445),),
          (int, "2024")),
-        (letter_by_name, (A, _with(str, __eq__=lambda *a: False, __hash__=str.__hash__)("Sad")),
-         (abjadnum.Letter, repr(letter_by_name(A, "Sad")))),
         (abjadnum.format_reading,
          (abjadnum.decompose(5000), "ltr", ("", _with(str, __format__=lambda *a: "zz")("mille"))),
          (str, repr("5 mille"))),
@@ -492,7 +486,7 @@ def _with(base, **methods):
          (str, repr("5 mille"))),
     ],
     ids=["transliterate-translate", "parse_digits-lstrip", "gematria-split", "decode-iter",
-         "hijri-lt", "letter_by_name-eq", "format_reading-ltr-label-format",
+         "hijri-lt", "format_reading-ltr-label-format",
          "format_reading-rtl-label-format"],
 )
 def test_a_subclass_with_its_own_methods_is_read_as_its_value(fn, args, expected):

@@ -12,6 +12,7 @@ from abjadnum import (
     SEPARATORS,
     InvalidGlyph,
     digit_provenance,
+    letters,
     parse_digits,
     render_digits,
     transliterate,
@@ -169,6 +170,14 @@ class TestProvenance:
             entry = digit_provenance(d, script)
             assert entry.alphabet is Alphabet.ARABIC
             assert entry.letter.order == (10 if d == 2 else d)
+
+    @pytest.mark.parametrize("script", list(DigitScript))
+    def test_every_provenance_letter_is_its_alphabets_own_record(self, script):
+        # the letter is looked up by name among its own alphabet's letters
+        for d in range(10):
+            entry = digit_provenance(d, script)
+            assert entry.letter.alphabet is entry.alphabet
+            assert any(entry.letter is letter for letter in letters(entry.alphabet))
 
     def test_digit_two_note_carries_the_value_caveat(self):
         # the source letter of digit 2 counts 10 in the letter-value order
