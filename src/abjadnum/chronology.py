@@ -16,8 +16,9 @@ Hijri year h overlaps (the one in which h starts for 4931 of h = 1..10**4),
 and ``gregorian_to_hijri_year(g)`` is one of the Hijri years that overlap
 Gregorian year g.  Both hold for every h up to 455637 and g up to 456833,
 and the tests check each of those years; h = 455638 and g = 456834 already
-miss, because the fixed ratio drifts from the tabular mean year.  Observed or Umm al-Qura dates can differ from
-the tabular ones by a day or two, so near a year's edge their year can too.
+miss, because the fixed ratio drifts from the tabular mean year.  Observed
+or Umm al-Qura dates can differ from the tabular ones by a day or two, so
+near a year's edge their year can too.
 """
 
 from .errors import PreEpoch, check_int, int_text
