@@ -2,31 +2,52 @@
 
 Results print bare to stdout (or as one JSON object with --json); domain
 errors print to stderr as ``ERROR <code>: <detail>`` and exit 1; bad usage
-exits 2.  The input comes from the final positional argument, or stdin
-when it is absent.
+exits 2, and so does a missing value when stdin is closed.  The input comes
+from the final positional argument, or stdin when it is absent.  If the
+reader of stdout has gone, the process exits 1 and prints nothing more.
 
-A process builds the parser of the one subcommand that its first argument
-names, and imports only the library modules that subcommand uses:
-importing this module loads ``alphabets`` and ``errors``, and the rest are
-imported where a subparser or a subcommand needs them.  Any other first
-argument (none, ``-h``, a misspelt command) builds all seven subparsers, so
-its help and its errors are the full parser's.  A one-command build gives
-the command argument all seven names as its metavar, so that the usage line
-argparse prints with an error such as ``hijri --bogus 7`` is the full
-build's.  The full build leaves the metavar unset: argparse would also print
-it in place of the name ``command`` in its missing-command and
-invalid-choice errors.
+Each subcommand's options are declared once, in ``_options``: spelling,
+dest, choices, default and required flag.  ``build_parser`` and
+``_parse_exact`` both read that declaration.  An exactly spelled argv (a
+command name, each option in full and at most once, each option argument
+within its choices, at most one value, and no argument that starts with
+``-``) is read by ``_parse_exact``: it builds no parser and loads no
+argparse.  Any other argv (``-h``, an abbreviated option, ``--opt=value``,
+``--``, a usage error) goes to argparse, so every help and error text is
+argparse's.
+
+That argparse build holds the parser of the one subcommand that the first
+argument names.  Any other first argument (none, ``-h``, a misspelt
+command) builds all seven subparsers, so its help and its errors are the
+full parser's.  A one-command build gives the command argument all seven
+names as its metavar, so that the usage line argparse prints with an error
+such as ``hijri --bogus 7`` is the full build's.  The full build leaves the
+metavar unset: argparse would also print it in place of the name
+``command`` in its missing-command and invalid-choice errors.  Importing
+this module loads ``alphabets`` and ``errors``; a subcommand's options and
+its run import the other library modules it uses, and no others.
 """
 
-import argparse
+import os
 import sys
+import types
 from enum import Enum
 
 from .alphabets import Alphabet, Letter
 from .errors import NumeralError, decimal
 
 _ALPHABETS = [alphabet.value for alphabet in Alphabet]
-_COMMANDS = ("encode", "decode", "gematria", "translit", "read", "provenance", "hijri")
+# Each subcommand's help and its value's help.
+_HELP = {
+    "encode": ("encode an integer as a letter-word", "number to encode"),
+    "decode": ("decode a letter-word to an integer", "word to decode"),
+    "gematria": ("sum the letter values of a phrase", "phrase"),
+    "translit": ("transliterate digits between scripts", "digit string"),
+    "read": ("narrate a number by 3-digit groups", "number to read"),
+    "provenance": ("show the source letter behind a digit glyph", "digit 0..9"),
+    "hijri": ("convert a Hijri year to Gregorian (or back)", "year"),
+}
+_COMMANDS = tuple(_HELP)
 
 
 def _scripts() -> list[str]:
@@ -35,9 +56,48 @@ def _scripts() -> list[str]:
     return [script.value for script in DigitScript]
 
 
+def _options(command: str) -> list[tuple[str, dict]]:
+    """The options of `command`, in the order its help lists them, as
+    (option string, add_argument keywords).
+
+    build_parser adds them as they are, and _parse_exact reads the same
+    keywords: dest (else the option string without its dashes), choices,
+    default, required, and action "store_true" for a flag.
+    """
+    options = [("--json", {"action": "store_true", "help": "emit one JSON object"})]
+    if command in ("encode", "decode", "gematria"):
+        options.append(("--alphabet", {"choices": _ALPHABETS, "required": True}))
+    if command == "decode":
+        options.append(("--strict", {"action": "store_true",
+                                     "help": "require a canonical numeral word"}))
+    elif command == "translit":
+        scripts = _scripts()
+        options += [("--from", {"dest": "src", "choices": scripts, "required": True}),
+                    ("--to", {"dest": "dst", "choices": scripts, "required": True})]
+    elif command == "read":
+        from . import reading
+
+        options += [
+            ("--direction", {"choices": [reading.RIGHT_TO_LEFT, reading.LEFT_TO_RIGHT],
+                             "default": reading.RIGHT_TO_LEFT}),
+            ("--labels", {"help": "comma-separated scale labels, first entry is the "
+                                  "(usually empty) units label, e.g. ',mille,millions'"}),
+            ("--figure-exact", {"action": "store_true",
+                                "help": "join everything with 'et' instead of group separators"}),
+        ]
+    elif command == "provenance":
+        options.append(("--script", {"choices": _scripts(), "required": True}))
+    elif command == "hijri":
+        options.append(("--reverse", {"action": "store_true",
+                                      "help": "convert Gregorian to Hijri"}))
+    return options
+
+
 def _text_input(given: str | None) -> str:
     if given is not None:
         return given
+    if sys.stdin is None:
+        raise ValueError("no value given and stdin is closed")
     return sys.stdin.buffer.read().decode("utf-8").strip()
 
 
@@ -134,64 +194,60 @@ def _run(args) -> tuple[str, dict]:
     return text, {"input": given, "output": out, "direction": direction}
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser of the subcommand `command` alone, or of all seven if it
-    names none of them."""
+def build_parser(command=None):
+    """The argparse parser of the subcommand `command` alone, or of all seven
+    if it names none of them."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="abjadnum",
         description="Letter-numerals, gematria, digit scripts, number readings, Hijri years.",
     )
     one = command in _COMMANDS
-    names = (command,) if one else _COMMANDS
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="{" + ",".join(_COMMANDS) + "}" if one else None)
-
-    def add(name, help_text, value_help, alphabet=False):
+    for name in (command,) if one else _COMMANDS:
+        help_text, value_help = _HELP[name]
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--json", action="store_true", help="emit one JSON object")
-        if alphabet:
-            p.add_argument("--alphabet", choices=_ALPHABETS, required=True)
+        for option, keywords in _options(name):
+            p.add_argument(option, **keywords)
         p.add_argument("value", nargs="?", help=f"{value_help} (stdin if absent)")
-        return p
-
-    if "encode" in names:
-        add("encode", "encode an integer as a letter-word", "number to encode", alphabet=True)
-
-    if "decode" in names:
-        p = add("decode", "decode a letter-word to an integer", "word to decode", alphabet=True)
-        p.add_argument("--strict", action="store_true",
-                       help="require a canonical numeral word")
-
-    if "gematria" in names:
-        add("gematria", "sum the letter values of a phrase", "phrase", alphabet=True)
-
-    if "translit" in names:
-        scripts = _scripts()
-        p = add("translit", "transliterate digits between scripts", "digit string")
-        p.add_argument("--from", dest="src", choices=scripts, required=True)
-        p.add_argument("--to", dest="dst", choices=scripts, required=True)
-
-    if "read" in names:
-        from . import reading
-
-        p = add("read", "narrate a number by 3-digit groups", "number to read")
-        p.add_argument("--direction", choices=[reading.RIGHT_TO_LEFT, reading.LEFT_TO_RIGHT],
-                       default=reading.RIGHT_TO_LEFT)
-        p.add_argument("--labels",
-                       help="comma-separated scale labels, first entry is the "
-                            "(usually empty) units label, e.g. ',mille,millions'")
-        p.add_argument("--figure-exact", action="store_true",
-                       help="join everything with 'et' instead of group separators")
-
-    if "provenance" in names:
-        p = add("provenance", "show the source letter behind a digit glyph", "digit 0..9")
-        p.add_argument("--script", choices=_scripts(), required=True)
-
-    if "hijri" in names:
-        p = add("hijri", "convert a Hijri year to Gregorian (or back)", "year")
-        p.add_argument("--reverse", action="store_true", help="convert Gregorian to Hijri")
-
     return parser
+
+
+def _parse_exact(argv: list[str]):
+    """What build_parser(argv[0]).parse_args(argv) gives, when every argument
+    is spelled exactly as declared; None for any other argv."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    declared, parsed = {}, {"command": argv[0]}
+    for option, keywords in _options(argv[0]):
+        flag = keywords.get("action") == "store_true"
+        dest = keywords.get("dest", option[2:].replace("-", "_"))
+        declared[option] = dest, flag, keywords.get("choices"), keywords.get("required")
+        parsed[dest] = keywords.get("default", False if flag else None)
+    seen, values, rest = set(), [], iter(argv[1:])
+    for arg in rest:
+        if arg not in declared:
+            values.append(arg)
+            continue
+        if arg in seen:
+            return None
+        seen.add(arg)
+        dest, flag, choices, _ = declared[arg]
+        if flag:
+            parsed[dest] = True
+            continue
+        arg = next(rest, "-")  # a missing option argument is refused as a dash
+        if arg.startswith("-") or (choices is not None and arg not in choices):
+            return None
+        parsed[dest] = arg
+    if len(values) > 1 or values and values[0].startswith("-") or any(
+            required and option not in seen
+            for option, (_, _, _, required) in declared.items()):
+        return None
+    parsed["value"] = values[0] if values else None
+    return types.SimpleNamespace(**parsed)
 
 
 def _utf8_streams():
@@ -203,7 +259,9 @@ def _utf8_streams():
 def main(argv=None) -> int:
     _utf8_streams()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _parse_exact(argv)
+    if args is None:
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         text, payload = _run(args)
     except NumeralError as err:
@@ -212,7 +270,13 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
-    print(_json(payload) if args.json else text)
+    try:
+        print(_json(payload) if args.json else text, flush=True)
+    except BrokenPipeError:
+        # The reader has gone.  Point stdout at devnull, so that the flush at
+        # exit fails no more, as the Python docs' note on SIGPIPE does.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

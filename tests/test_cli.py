@@ -1,12 +1,15 @@
+import argparse
+import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import types
 from enum import Enum
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abjadnum import (
@@ -21,7 +24,7 @@ from abjadnum import (
     gregorian_to_hijri_year,
     hijri_to_gregorian_year,
 )
-from abjadnum.cli import _json, build_parser, main
+from abjadnum.cli import _json, _parse_exact, build_parser, main
 
 # Each subcommand and the options it requires.
 REQUIRED = {
@@ -148,6 +151,29 @@ class TestStdin:
         self._feed(monkeypatch, text)
         code, out, _ = run_cli(capsys, *argv)
         assert (code, out) == (0, printed + "\n")
+
+    def test_a_closed_stdin_is_a_usage_error_only_when_it_is_read(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", None)
+        assert run_cli(capsys, "hijri", "1225") == (0, "1810\n", "")
+        assert run_cli(capsys, "decode", "--alphabet", "arabic") == (
+            2, "", "usage error: no value given and stdin is closed\n"
+        )
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_pipe_exits_1_and_prints_nothing(unbuffered):
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has gone before the first write
+    try:
+        proc = subprocess.run([sys.executable, "-m", "abjadnum", "hijri", "1225"],
+                              stdin=subprocess.DEVNULL, stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 class TestJson:
@@ -357,6 +383,107 @@ class TestOneCommandParser:
         for name in COMMANDS:
             code, out, _ = _exit(build_parser(command), [name, "--help"], capsys)
             assert code == 0 and out.startswith(f"usage: abjadnum {name} ")
+
+
+def _subparser(name: str) -> argparse.ArgumentParser:
+    """The one subparser that build_parser(name) holds."""
+    (commands,) = [action for action in build_parser(name)._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    return commands.choices[name]
+
+
+# Each subcommand's option actions, read from its own parser, help left out.
+_ACTIONS = {
+    name: [action for action in _subparser(name)._actions
+           if action.option_strings and not isinstance(action, argparse._HelpAction)]
+    for name in COMMANDS
+}
+_JUNK = ["greek", "-h", "--help", "--", "-", "-5", "", "-a b", "--json=", "1225", "x y",
+         ",mille"]
+
+
+@st.composite
+def _units(draw, name):
+    """One option with its argument, if it takes one, or one other argument."""
+    parser = _subparser(name)
+    options = [option for action in parser._actions for option in action.option_strings]
+    choices = [choice for action in parser._actions if action.choices for choice in action.choices]
+    kind = draw(st.sampled_from(["option", "option", "junk", "prefix", "equals", "command"]))
+    if kind == "option":
+        action = draw(st.sampled_from(_ACTIONS[name]))
+        option = draw(st.sampled_from(action.option_strings))
+        if action.nargs == 0:
+            return [option]
+        return [option, draw(st.sampled_from(action.choices or ["", ",mille", "a,b"])
+                             | st.sampled_from(_JUNK))]
+    if kind == "junk":
+        return [draw(st.sampled_from(_JUNK + choices))]
+    long = [option for option in options if len(option) > 3]
+    if kind == "prefix":
+        option = draw(st.sampled_from(long))
+        return [option[:draw(st.integers(3, len(option) - 1))]]
+    if kind == "equals":
+        return [draw(st.sampled_from(long)) + "=" + draw(st.sampled_from(choices + ["", "x"]))]
+    return [draw(st.sampled_from(COMMANDS))]
+
+
+@st.composite
+def _cli_argvs(draw):
+    """A command and a shuffle of options, values and junk, often with every
+    required option; now and then no command or a wrong one."""
+    name = draw(st.sampled_from(COMMANDS))
+    units = draw(st.lists(_units(name), max_size=3))
+    if draw(st.integers(0, 3)):
+        units += [[action.option_strings[0], draw(st.sampled_from(action.choices))]
+                  for action in _ACTIONS[name] if action.required]
+    if draw(st.booleans()):
+        units.append([draw(st.sampled_from(["1225", "", "x y", "احمد", "12457892"]))])
+    units = draw(st.permutations(units))
+    first = draw(st.sampled_from([[name]] * 20 + [[], ["frobnicate"], ["-h"], ["--json"]]))
+    return first + [arg for unit in units for arg in unit]
+
+
+def _spelled_exactly(argv: list[str]) -> bool:
+    """Whether argv is the exact spelling the fast path accepts, judged from
+    the subcommand's own parser: each option in full and at most once, each
+    option argument within its choices and no argument starting with a dash,
+    at most one value, and every required option."""
+    if not argv or argv[0] not in COMMANDS:
+        return False
+    actions = {option: action for action in _ACTIONS[argv[0]]
+               for option in action.option_strings}
+    seen, values, rest = [], [], iter(argv[1:])
+    for arg in rest:
+        if arg in actions:
+            seen.append(actions[arg])
+            if actions[arg].nargs != 0:
+                given = next(rest, None)
+                choices = actions[arg].choices
+                if given is None or given.startswith("-") or choices and given not in choices:
+                    return False
+        elif arg.startswith("-"):
+            return False
+        else:
+            values.append(arg)
+    required = [action for action in _ACTIONS[argv[0]] if action.required]
+    return (len(seen) == len(set(map(id, seen))) and len(values) <= 1
+            and all(action in seen for action in required))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_cli_argvs())
+def test_the_exact_parser_agrees_with_argparse(argv):
+    exact = _parse_exact(argv)
+    assert (exact is not None) == _spelled_exactly(argv), (argv, exact)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            parsed = build_parser(argv[0] if argv else None).parse_args(argv)
+    except SystemExit:
+        assert exact is None, (argv, exact, err.getvalue())
+        return
+    if exact is not None:
+        assert vars(exact) == vars(parsed), argv
 
 
 def test_console_entry_point_emits_utf8():

@@ -6,12 +6,14 @@ name imports the module that exports it (and what that module imports).
 the digit-provenance TSV is read on the first ``digit_provenance`` call.
 ``json`` is loaded by no call: the CLI writes its --json line itself.
 ``dataclasses`` and ``inspect`` (whose import pulls in ``ast``, ``dis`` and
-``tokenize``) are never loaded, neither by the import nor by a call.  ``import abjadnum.cli``
-loads no library module but ``alphabets`` and ``errors``, and a CLI call
-loads the modules of its own subcommand alone.  Each case runs in a fresh
-interpreter with this checkout's ``src`` on PYTHONPATH, and compares
-``sys.modules`` before and after, so a ``site`` that already imports one
-of these modules does not fail it.
+``tokenize``) are never loaded, neither by the import nor by a call.
+``import abjadnum.cli`` loads no library module but ``alphabets`` and
+``errors``, and a CLI call loads the modules of its own subcommand alone; a
+well-formed one loads no ``argparse``, ``gettext`` or ``locale``, which a
+parser build loads.  Each case runs in a fresh interpreter with this
+checkout's ``src`` on PYTHONPATH, and compares ``sys.modules`` before and
+after, so a ``site`` that already imports one of these modules does not fail
+it.
 
 Parametrised by ``pytest_generate_tests`` rather than pytest.mark, so that
 the module imports no pytest and its tests can be called without it:
@@ -387,6 +389,32 @@ def test_a_cli_call_loads_only_the_modules_of_its_subcommand(command):
     seen = ast.literal_eval(_fresh(_CLI, ARGV=argv))
     assert seen == dict(imported=["alphabets", "cli", "errors"], called=modules, code=0,
                         printed=printed)
+
+
+# What argparse's import and its first message load; a well-formed call reads
+# its argv itself and loads none of them.
+PARSING = {"argparse", "gettext", "locale"}
+
+_NO_PARSER = """\
+import io, sys
+before = set(sys.modules)
+from abjadnum import cli
+stdout, sys.stdout = sys.stdout, io.StringIO()
+code = cli.main(ARGV)
+sys.stdout = stdout
+called = set(sys.modules)
+cli.build_parser(ARGV[0])
+print(repr(dict(code=code, preloaded=sorted(PARSING & before),
+                called=sorted(PARSING & (called - before)),
+                built=sorted(PARSING & (set(sys.modules) - called)))))
+"""
+
+
+def test_a_well_formed_cli_call_loads_no_argparse(command):
+    seen = ast.literal_eval(_fresh(_NO_PARSER, ARGV=CLI_LOADS[command][0], PARSING=PARSING))
+    assert (seen["code"], seen["called"]) == (0, []), seen
+    # A parser build is what loads argparse, unless site already had.
+    assert "argparse" in seen["built"] + seen["preloaded"], seen
 
 
 _NAMESPACE = """\

@@ -125,6 +125,9 @@ CHECKS = [
      lambda proc: "{encode,decode,gematria,translit,read,provenance,hijri}" in proc.stderr),
     ("hijri-loads-neither-codec-nor-reading", ("-c", "import sys; from abjadnum import cli; cli.main(['hijri', '1225']); loaded = {'abjadnum.codec', 'abjadnum.reading'} & set(sys.modules); assert not loaded, loaded"),
      _succeeds),
+    # A well-formed call reads its own argv: no argparse, gettext or locale.
+    ("cli-call-loads-no-argparse", ("-c", "import sys; before = set(sys.modules); from abjadnum import cli; code = cli.main(['hijri', '1225']); loaded = {'argparse', 'gettext', 'locale'} & (set(sys.modules) - before); assert code == 0 and not loaded, (code, loaded)"),
+     _succeeds),
     # The provenance call reads the installed TSV on first use.
     ("provenance-json-exit", _cli("provenance", "--script", "western", "0", "--json"),
      _succeeds),
