@@ -392,11 +392,12 @@ def _subparser(name: str) -> argparse.ArgumentParser:
     return commands.choices[name]
 
 
+_SUBPARSERS = {name: _subparser(name) for name in COMMANDS}
 # Each subcommand's option actions, read from its own parser, help left out.
 _ACTIONS = {
-    name: [action for action in _subparser(name)._actions
+    name: [action for action in parser._actions
            if action.option_strings and not isinstance(action, argparse._HelpAction)]
-    for name in COMMANDS
+    for name, parser in _SUBPARSERS.items()
 }
 _JUNK = ["greek", "-h", "--help", "--", "-", "-5", "", "-a b", "--json=", "1225", "x y",
          ",mille"]
@@ -405,7 +406,7 @@ _JUNK = ["greek", "-h", "--help", "--", "-", "-5", "", "-a b", "--json=", "1225"
 @st.composite
 def _units(draw, name):
     """One option with its argument, if it takes one, or one other argument."""
-    parser = _subparser(name)
+    parser = _SUBPARSERS[name]
     options = [option for action in parser._actions for option in action.option_strings]
     choices = [choice for action in parser._actions if action.choices for choice in action.choices]
     kind = draw(st.sampled_from(["option", "option", "junk", "prefix", "equals", "command"]))
