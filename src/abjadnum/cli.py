@@ -1,10 +1,12 @@
 """Command-line front end: one subcommand per library operation.
 
 Results print bare to stdout (or as one JSON object with --json); domain
-errors print to stderr as ``ERROR <code>: <detail>`` and exit 1; bad usage
-exits 2, and so does a missing value when stdin is closed.  The input comes
-from the final positional argument, or stdin when it is absent.  If the
-reader of stdout has gone, the process exits 1 and prints nothing more.
+errors print to stderr as ``ERROR <code>: <detail>``.  The input comes from
+the final positional argument, or stdin when it is absent.  Exit status:
+
+- 0: a result or help was written;
+- 1: a domain error, or stdout gone or closed (nothing more is printed);
+- 2: a usage error, stdin closed with no value, or stdin that is not UTF-8.
 
 Each subcommand's options are declared once, in ``_options``: spelling,
 dest, choices, default and required flag.  ``build_parser`` and
@@ -16,16 +18,10 @@ argparse.  Any other argv (``-h``, an abbreviated option, ``--opt=value``,
 ``--``, a usage error) goes to argparse, so every help and error text is
 argparse's.
 
-That argparse build holds the parser of the one subcommand that the first
-argument names.  Any other first argument (none, ``-h``, a misspelt
-command) builds all seven subparsers, so its help and its errors are the
-full parser's.  A one-command build gives the command argument all seven
-names as its metavar, so that the usage line argparse prints with an error
-such as ``hijri --bogus 7`` is the full build's.  The full build leaves the
-metavar unset: argparse would also print it in place of the name
-``command`` in its missing-command and invalid-choice errors.  Importing
-this module loads ``alphabets`` and ``errors``; a subcommand's options and
-its run import the other library modules it uses, and no others.
+That fallback builds all seven subparsers, so it also imports ``digits``
+and ``reading`` for their options' choices.  Importing this module loads
+``alphabets`` and ``errors``; an exactly spelled call's options and its run
+import the other library modules it uses, and no others.
 """
 
 import os
@@ -194,19 +190,16 @@ def _run(args) -> tuple[str, dict]:
     return text, {"input": given, "output": out, "direction": direction}
 
 
-def build_parser(command=None):
-    """The argparse parser of the subcommand `command` alone, or of all seven
-    if it names none of them."""
+def build_parser():
+    """The argparse parser of all seven subcommands."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="abjadnum",
         description="Letter-numerals, gematria, digit scripts, number readings, Hijri years.",
     )
-    one = command in _COMMANDS
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="{" + ",".join(_COMMANDS) + "}" if one else None)
-    for name in (command,) if one else _COMMANDS:
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _COMMANDS:
         help_text, value_help = _HELP[name]
         p = sub.add_parser(name, help=help_text)
         for option, keywords in _options(name):
@@ -216,7 +209,7 @@ def build_parser(command=None):
 
 
 def _parse_exact(argv: list[str]):
-    """What build_parser(argv[0]).parse_args(argv) gives, when every argument
+    """What build_parser().parse_args(argv) gives, when every argument
     is spelled exactly as declared; None for any other argv."""
     if not argv or argv[0] not in _COMMANDS:
         return None
@@ -256,12 +249,37 @@ def _utf8_streams():
             stream.reconfigure(encoding="utf-8")
 
 
+def _write(text: str) -> int:
+    """Write and flush text to stdout: 0, or 1 if stdout is closed or its reader gone."""
+    if sys.stdout is None:
+        return 1
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # As the Python docs' note on SIGPIPE: the flush at exit then fails no more.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return 0
+
+
 def main(argv=None) -> int:
     _utf8_streams()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse_exact(argv)
     if args is None:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        import contextlib
+        import io
+
+        # argparse writes only help to stdout, and then exits 0.
+        helped = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(helped):
+                args = build_parser().parse_args(argv)
+        except SystemExit:
+            if helped.getvalue() and _write(helped.getvalue()):
+                return 1
+            raise
     try:
         text, payload = _run(args)
     except NumeralError as err:
@@ -270,14 +288,7 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
-    try:
-        print(_json(payload) if args.json else text, flush=True)
-    except BrokenPipeError:
-        # The reader has gone.  Point stdout at devnull, so that the flush at
-        # exit fails no more, as the Python docs' note on SIGPIPE does.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
-    return 0
+    return _write((_json(payload) if args.json else text) + "\n")
 
 
 if __name__ == "__main__":

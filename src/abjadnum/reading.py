@@ -55,44 +55,31 @@ _UNITS, _TENS, _HUNDREDS = tuple(
 _new = tuple.__new__  # positional record construction, as namedtuple's _make
 
 
-class _Components(dict):
-    """Group value -> its components tuple; a miss builds and stores it."""
+class _Table(dict):
+    """Key -> build(key); a miss builds and stores it."""
 
-    def __missing__(self, value: int) -> tuple[RankComponent, ...]:
-        # setdefault: two threads that miss together still share one tuple.
-        return self.setdefault(
-            value, _UNITS[value % 10] + _TENS[value // 10 % 10] + _HUNDREDS[value // 100]
-        )
+    __slots__ = ("build",)
 
+    def __init__(self, build) -> None:
+        self.build = build
 
-_COMPONENTS = _Components()
-
-
-class _Spoken(dict):
-    """Group value -> its right-to-left speech; a miss builds and stores it."""
-
-    def __missing__(self, value: int) -> str:
-        return self.setdefault(value, " et ".join([str(c.value) for c in _COMPONENTS[value]]))
+    def __missing__(self, key):
+        # setdefault: two threads that miss together still share one value.
+        return self.setdefault(key, self.build(key))
 
 
-_SPOKEN = _Spoken()
-
-
-class _Groups(dict):
-    """Group value -> its Group record at one index; a miss builds and stores it."""
-
-    __slots__ = ("index",)
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-
-    def __missing__(self, value: int) -> Group:
-        # setdefault: two threads that miss together still hand out one record.
-        return self.setdefault(value, _new(Group, (self.index, value, _COMPONENTS[value])))
-
-
-# Entry i holds the groups of index i, one per index the default labels name.
-_GROUPS = tuple(map(_Groups, range(len(DEFAULT_LABELS))))
+# Group value -> its components tuple.
+_COMPONENTS = _Table(
+    lambda value: _UNITS[value % 10] + _TENS[value // 10 % 10] + _HUNDREDS[value // 100]
+)
+# Group value -> its right-to-left speech.
+_SPOKEN = _Table(lambda value: " et ".join([str(c.value) for c in _COMPONENTS[value]]))
+# Entry i maps a group value to its Group record at index i, one table per
+# index the default labels name.
+_GROUPS = tuple(
+    _Table(lambda value, index=index: _new(Group, (index, value, _COMPONENTS[value])))
+    for index in range(len(DEFAULT_LABELS))
+)
 
 
 def decompose(n: int) -> NumberReading:

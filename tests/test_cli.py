@@ -159,20 +159,39 @@ class TestStdin:
             2, "", "usage error: no value given and stdin is closed\n"
         )
 
+    def test_stdin_that_is_not_utf8_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", types.SimpleNamespace(buffer=io.BytesIO(b"\xff\n")))
+        code, out, err = run_cli(capsys, "hijri")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: 'utf-8' codec can't decode byte 0xff")
 
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-def test_a_closed_stdout_pipe_exits_1_and_prints_nothing(unbuffered):
+
+@pytest.mark.parametrize("argv, unbuffered", [
+    pytest.param(argv, unbuffered, id=name + mode)
+    for argv, name in [(["hijri", "1225"], ""), (["-h"], "help-"), (["hijri", "-h"], "hijri-help-")]
+    for unbuffered, mode in [(False, "buffered"), (True, "unbuffered")]
+])
+def test_a_closed_stdout_pipe_exits_1_and_prints_nothing(argv, unbuffered):
     env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader has gone before the first write
     try:
-        proc = subprocess.run([sys.executable, "-m", "abjadnum", "hijri", "1225"],
+        proc = subprocess.run([sys.executable, "-m", "abjadnum", *argv],
                               stdin=subprocess.DEVNULL, stdout=write_end,
                               stderr=subprocess.PIPE, env=env, timeout=60)
     finally:
         os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+@pytest.mark.parametrize("argv", [["hijri", "1225"], ["-h"]], ids=["result", "help"])
+def test_a_closed_stdout_exits_1_and_prints_nothing(argv):
+    # As `abjadnum hijri 1225 >&-`: fd 1 is closed, so sys.stdout is None.
+    proc = subprocess.run([sys.executable, "-m", "abjadnum", *argv],
+                          stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1), timeout=60)
     assert (proc.returncode, proc.stderr) == (1, b"")
 
 
@@ -356,43 +375,29 @@ def _exit(parser, argv, capsys):
     return exc.value.code, captured.out, captured.err
 
 
-class TestOneCommandParser:
+class TestParser:
     @pytest.mark.parametrize("name", COMMANDS)
-    def test_prints_what_the_full_parser_prints(self, capsys, name):
-        assert build_parser(name).format_usage() == build_parser().format_usage()
-        helped = _exit(build_parser(name), [name, "--help"], capsys)
-        assert helped == _exit(build_parser(), [name, "--help"], capsys)
-        assert helped[0] == 0 and helped[1].startswith(f"usage: abjadnum {name} ")
+    def test_prints_help_and_rejects_an_unknown_option(self, capsys, name):
+        code, out, _ = _exit(build_parser(), [name, "--help"], capsys)
+        assert code == 0 and out.startswith(f"usage: abjadnum {name} ")
         # argparse rejects an unknown option with the top-level usage.
-        argv = [name, *REQUIRED[name], "--bogus", "7"]
-        rejected = _exit(build_parser(name), argv, capsys)
-        assert rejected == _exit(build_parser(), argv, capsys)
-        assert rejected[0] == 2
-        assert rejected[2].split()[:4] == ["usage:", "abjadnum", "[-h]",
-                                           "{" + ",".join(COMMANDS) + "}"]
-        assert rejected[2].endswith("unrecognized arguments: --bogus\n")
+        code, _, err = _exit(build_parser(), [name, *REQUIRED[name], "--bogus", "7"], capsys)
+        assert code == 2
+        assert err.split()[:4] == ["usage:", "abjadnum", "[-h]", "{" + ",".join(COMMANDS) + "}"]
+        assert err.endswith("unrecognized arguments: --bogus\n")
 
-    @pytest.mark.parametrize("name", COMMANDS)
-    def test_holds_its_subcommand_alone(self, capsys, name):
-        other = COMMANDS[COMMANDS.index(name) - 1]
-        code, _, err = _exit(build_parser(name), [other, "--help"], capsys)
-        assert code == 2 and f"invalid choice: '{other}'" in err
-
-    @pytest.mark.parametrize("command", [None, "frobnicate"])
-    def test_any_other_argument_builds_all_seven(self, capsys, command):
-        for name in COMMANDS:
-            code, out, _ = _exit(build_parser(command), [name, "--help"], capsys)
-            assert code == 0 and out.startswith(f"usage: abjadnum {name} ")
+    def test_holds_all_seven(self):
+        assert list(_subparsers()) == COMMANDS
 
 
-def _subparser(name: str) -> argparse.ArgumentParser:
-    """The one subparser that build_parser(name) holds."""
-    (commands,) = [action for action in build_parser(name)._actions
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand's parser in build_parser(), by name."""
+    (commands,) = [action for action in build_parser()._actions
                    if isinstance(action, argparse._SubParsersAction)]
-    return commands.choices[name]
+    return commands.choices
 
 
-_SUBPARSERS = {name: _subparser(name) for name in COMMANDS}
+_SUBPARSERS = _subparsers()
 # Each subcommand's option actions, read from its own parser, help left out.
 _ACTIONS = {
     name: [action for action in parser._actions
@@ -479,7 +484,7 @@ def test_the_exact_parser_agrees_with_argparse(argv):
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            parsed = build_parser(argv[0] if argv else None).parse_args(argv)
+            parsed = build_parser().parse_args(argv)
     except SystemExit:
         assert exact is None, (argv, exact, err.getvalue())
         return

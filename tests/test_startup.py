@@ -403,7 +403,7 @@ stdout, sys.stdout = sys.stdout, io.StringIO()
 code = cli.main(ARGV)
 sys.stdout = stdout
 called = set(sys.modules)
-cli.build_parser(ARGV[0])
+cli.build_parser()
 print(repr(dict(code=code, preloaded=sorted(PARSING & before),
                 called=sorted(PARSING & (called - before)),
                 built=sorted(PARSING & (set(sys.modules) - called)))))

@@ -12,7 +12,9 @@ For each interpreter, in order, it runs from the repository root with only
   ``src/abjadnum``, which is then all that is on PYTHONPATH;
 - ``tier1``: the Tier-1 command, ``-m pytest -q --continue-on-collection-errors``,
   when the interpreter can import pytest and hypothesis from its own
-  site-packages or from DIR, and skipped otherwise.
+  site-packages or from DIR, and skipped otherwise.  Before 3.11 it also
+  puts ``tools/before_3_11`` on PYTHONPATH, for the test-only
+  ``exceptiongroup`` stand-in there, and its line says so.
 
 DIR is a directory of pure-Python packages (pytest, hypothesis and what they
 import) for interpreters that lack them.  Nothing is searched for or
@@ -42,6 +44,8 @@ CHECKS = {
 }
 # Run first, under the same PYTHONPATH, to decide whether tier1 can run.
 TIER1_NEEDS = ["-c", "import pytest, hypothesis"]
+# pytest and hypothesis import exceptiongroup before 3.11; a stand-in is here.
+BEFORE_3_11 = ROOT / "tools" / "before_3_11"
 TIMEOUT_S = 900
 
 
@@ -80,12 +84,16 @@ def check(python: str, packages: str | None) -> bool:
         return False
     passed = True
     for name, args in CHECKS.items():
+        line = {**record, "check": name}
+        if name == "tier1" and tuple(map(int, record["version"].split(".")[:2])) < (3, 11):
+            pythonpath = os.pathsep.join([pythonpath, str(BEFORE_3_11)])
+            line["with"] = "the exceptiongroup stand-in in tools/before_3_11"
         if name == "tier1":
             needs = _run(python, TIER1_NEEDS, pythonpath)
             if needs.returncode != 0:
                 where = f"its site-packages or {packages}" if packages else "its site-packages"
                 reason = f"cannot import pytest and hypothesis from {where}: {_last_line(needs)}"
-                print(json.dumps({**record, "check": name, "skipped": reason}), flush=True)
+                print(json.dumps({**line, "skipped": reason}), flush=True)
                 continue
         start = time.perf_counter()
         try:
@@ -97,8 +105,7 @@ def check(python: str, packages: str | None) -> bool:
         except subprocess.TimeoutExpired:
             ok, detail = False, f"timed out after {TIMEOUT_S} s"
         seconds = round(time.perf_counter() - start, 1)
-        print(json.dumps({**record, "check": name, "ok": ok, "seconds": seconds,
-                          "detail": detail}), flush=True)
+        print(json.dumps({**line, "ok": ok, "seconds": seconds, "detail": detail}), flush=True)
         passed = passed and ok
     return passed
 

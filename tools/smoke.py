@@ -117,8 +117,8 @@ CHECKS = [
      _succeeds),
     ("gematria-loads-only-codec", ("-c", "import sys; from abjadnum import gematria; loaded = {'abjadnum.digits', 'abjadnum.reading', 'abjadnum.chronology'} & set(sys.modules); assert not loaded, loaded"),
      _succeeds),
-    # A process builds the parser of its own subcommand alone, yet an unknown
-    # option exits 2 with the full usage line, all seven commands named; a
+    # An unknown option goes to argparse's one parser of all seven commands:
+    # it exits 2 with the usage line that names them all.  A well-formed
     # hijri call loads neither codec nor reading.
     ("unknown-option-exit", _cli("hijri", "--bogus", "7"), _exits(2)),
     ("unknown-option-usage", _cli("hijri", "--bogus", "7"),
