@@ -7,8 +7,6 @@ terminal width, so for a row that argparse rejects (stderr starting with
 taken as one break: the usage line and the error line are both checked,
 whatever the width and the interpreter.
 
-``python tests/test_cli_transcript.py --check`` replays the transcript
-without pytest, names each row that differs and exits 1 if any does.
 ``python tests/test_cli_transcript.py`` rewrites the file from the CLI as it
 stands, keeping each row's argv and stdin.
 """
@@ -53,44 +51,22 @@ def _row_id(row: dict) -> str:
     return shown if len(shown) <= 60 else f"{shown[:60]}...({len(shown)})"
 
 
-def replay(expected: dict) -> tuple[dict, dict]:
-    """The row the CLI gives now and `expected`, as they are compared."""
-    got = run(expected["argv"], expected["stdin"])
-    if expected["stderr"].startswith("usage: ") and got["stderr"].startswith("usage: "):
-        got["stderr"] = got["stderr"].split()
-        expected = {**expected, "stderr": expected["stderr"].split()}
-    return got, expected
-
-
 def pytest_generate_tests(metafunc):
-    # Parametrised here rather than with pytest.mark, so that --check runs
-    # without pytest installed.
     if "expected" in metafunc.fixturenames:
         rows = _rows()
         metafunc.parametrize("expected", rows, ids=[_row_id(row) for row in rows])
 
 
 def test_row(expected):
-    got, expected = replay(expected)
+    got = run(expected["argv"], expected["stdin"])
+    if expected["stderr"].startswith("usage: ") and got["stderr"].startswith("usage: "):
+        got["stderr"] = got["stderr"].split()
+        expected = {**expected, "stderr": expected["stderr"].split()}
     assert got == expected
 
 
-def _check() -> int:
-    rows = _rows()
-    differing = 0
-    for row in rows:
-        got, expected = replay(row)
-        if got != expected:
-            differing += 1
-            print(f"differs: {_row_id(row)}", file=sys.stderr)
-    print(f"{len(rows) - differing}/{len(rows)} rows match {TRANSCRIPT.name}")
-    return 1 if differing else 0
-
-
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--check"]:
-        sys.exit(_check())
     if sys.argv[1:]:
-        sys.exit(f"usage: {sys.argv[0]} [--check]")
+        sys.exit(f"usage: {sys.argv[0]}")
     rows = [run(row["argv"], row["stdin"]) for row in _rows()]
     TRANSCRIPT.write_text(json.dumps(rows, ensure_ascii=False, indent=1) + "\n", encoding="utf-8")

@@ -1,7 +1,4 @@
-"""README's library examples, run as a doctest.
-
-Without pytest: ``PYTHONPATH=src python -m doctest README.md``.
-"""
+"""README's library examples, run as a doctest."""
 
 import doctest
 from pathlib import Path

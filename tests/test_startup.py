@@ -14,18 +14,12 @@ parser build loads.  Each case runs in a fresh interpreter with this
 checkout's ``src`` on PYTHONPATH, and compares ``sys.modules`` before and
 after, so a ``site`` that already imports one of these modules does not fail
 it.
-
-Parametrised by ``pytest_generate_tests`` rather than pytest.mark, so that
-the module imports no pytest and its tests can be called without it:
-``python tests/test_startup.py`` runs each test once per parameter, names
-each that fails and exits 1 if any does.
 """
 
 import ast
 import os
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -498,30 +492,3 @@ print(repr(dict(errors=sorted(set(errors)), stuck=stuck, calls=calls, differing=
 def test_threads_racing_the_first_access_get_the_same_objects():
     seen = ast.literal_eval(_fresh(_RACE, MODULES=MODULES))
     assert seen == dict(errors=[], stuck=0, calls=8 * 50, differing=0)
-
-
-def _main() -> int:
-    """Run every test of this module as pytest would, without pytest."""
-    cases = []
-    for name, test in list(globals().items()):
-        if name.startswith("test_"):
-            grid = {}
-            fixtures = test.__code__.co_varnames[:test.__code__.co_argcount]
-            metafunc = types.SimpleNamespace(fixturenames=fixtures, parametrize=grid.__setitem__)
-            pytest_generate_tests(metafunc)
-            # Each test takes at most one parameter.
-            cases += [(f"{name}[{value}]", test, {arg: value})
-                      for arg, values in grid.items() for value in values] or [(name, test, {})]
-    failed = 0
-    for case, test, kwargs in cases:
-        try:
-            test(**kwargs)
-        except Exception as err:
-            failed += 1
-            print(f"FAILED {case}: {type(err).__name__}: {err}")
-    print(f"{len(cases) - failed}/{len(cases)} start-up tests passed")
-    return 1 if failed else 0
-
-
-if __name__ == "__main__":
-    sys.exit(_main())

@@ -2,25 +2,21 @@
 
     python3 tools/check_interpreters.py PYTHON... [--test-packages DIR]
 
-For each interpreter, in order, it runs from the repository root with only
-``src`` (and DIR) on PYTHONPATH:
+For each interpreter, in order, it runs two checks from the repository root:
 
-- ``transcript``: ``tests/test_cli_transcript.py --check``;
-- ``readme``: ``-m doctest README.md``;
-- ``startup``: ``tests/test_startup.py``, which needs no pytest;
 - ``smoke``: ``tools/smoke.py``, from a temp dir holding a copy of
   ``src/abjadnum``, which is then all that is on PYTHONPATH;
 - ``tier1``: the Tier-1 command, ``-m pytest -q --continue-on-collection-errors``,
-  when the interpreter can import pytest and hypothesis from its own
-  site-packages or from DIR, and skipped otherwise.  Before 3.11 it also
-  puts ``tools/before_3_11`` on PYTHONPATH, for the test-only
-  ``exceptiongroup`` stand-in there, and its line says so.
+  with ``src`` (and DIR) on PYTHONPATH.  Before 3.11 it also puts
+  ``tools/before_3_11`` there, for the test-only ``exceptiongroup`` stand-in,
+  and its line says so.  An interpreter that cannot import pytest and
+  hypothesis from its own site-packages or from DIR fails it.
 
 DIR is a directory of pure-Python packages (pytest, hypothesis and what they
 import) for interpreters that lack them.  Nothing is searched for or
 installed.  Each check prints one JSON line: the interpreter, its version,
-the check, and ``ok`` with the seconds taken and the last line of output, or
-``skipped`` with the reason.  The exit status is 1 if any check failed.
+the check, ``ok``, the seconds taken and the last line of output.  The exit
+status is 1 if any check failed.
 """
 
 import argparse
@@ -36,14 +32,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 CHECKS = {
-    "transcript": ["tests/test_cli_transcript.py", "--check"],
-    "readme": ["-m", "doctest", "README.md"],
-    "startup": ["tests/test_startup.py"],
     "smoke": [str(ROOT / "tools" / "smoke.py")],
     "tier1": ["-m", "pytest", "-q", "--continue-on-collection-errors"],
 }
-# Run first, under the same PYTHONPATH, to decide whether tier1 can run.
-TIER1_NEEDS = ["-c", "import pytest, hypothesis"]
 # pytest and hypothesis import exceptiongroup before 3.11; a stand-in is here.
 BEFORE_3_11 = ROOT / "tools" / "before_3_11"
 TIMEOUT_S = 900
@@ -85,22 +76,16 @@ def check(python: str, packages: str | None) -> bool:
     passed = True
     for name, args in CHECKS.items():
         line = {**record, "check": name}
+        path = pythonpath
         if name == "tier1" and tuple(map(int, record["version"].split(".")[:2])) < (3, 11):
-            pythonpath = os.pathsep.join([pythonpath, str(BEFORE_3_11)])
+            path = os.pathsep.join([pythonpath, str(BEFORE_3_11)])
             line["with"] = "the exceptiongroup stand-in in tools/before_3_11"
-        if name == "tier1":
-            needs = _run(python, TIER1_NEEDS, pythonpath)
-            if needs.returncode != 0:
-                where = f"its site-packages or {packages}" if packages else "its site-packages"
-                reason = f"cannot import pytest and hypothesis from {where}: {_last_line(needs)}"
-                print(json.dumps({**line, "skipped": reason}), flush=True)
-                continue
         start = time.perf_counter()
         try:
             if name == "smoke":
                 proc = _smoke(python, args)
             else:
-                proc = _run(python, args, pythonpath)
+                proc = _run(python, args, path)
             ok, detail = proc.returncode == 0, _last_line(proc)
         except subprocess.TimeoutExpired:
             ok, detail = False, f"timed out after {TIMEOUT_S} s"
