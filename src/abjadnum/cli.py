@@ -30,7 +30,7 @@ import types
 from enum import Enum
 
 from .alphabets import Alphabet, Letter
-from .errors import NumeralError, decimal
+from .errors import NumeralError
 
 _ALPHABETS = [alphabet.value for alphabet in Alphabet]
 # Each subcommand's help and its value's help.
@@ -186,8 +186,7 @@ def _run(args) -> tuple[str, dict]:
         out, direction = chronology.gregorian_to_hijri_year(given), "ce-to-ah"
     else:
         out, direction = chronology.hijri_to_gregorian_year(given), "ah-to-ce"
-    text = decimal(out, "the result", "printed")
-    return text, {"input": given, "output": out, "direction": direction}
+    return str(out), {"input": given, "output": out, "direction": direction}
 
 
 def build_parser():

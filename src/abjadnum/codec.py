@@ -59,7 +59,7 @@ since each such call builds a new memo and table copy.
 """
 
 from collections import namedtuple
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .alphabets import ABJADI_SEQUENCE, Alphabet, letter_for_codepoint, letters
 from .errors import NonCanonical, OutOfRange, UnknownLetter, ZeroUnencodable
@@ -70,6 +70,9 @@ MAX_ENCODABLE = {Alphabet.ARABIC: 1999, Alphabet.HEBREW: 499}
 # Tatweel, the Arabic elongation mark; carries no value, appears freely.
 _TATWEEL = "ـ"
 
+# A letter's codepoint, read by name: a hand-built record's letters need not be tuples.
+_CODEPOINT = attrgetter("codepoint")
+
 
 class AbjadNumeral(namedtuple("AbjadNumeral", "alphabet letters value")):
     """A canonical letter-word denoting `value` in one alphabet."""
@@ -78,7 +81,7 @@ class AbjadNumeral(namedtuple("AbjadNumeral", "alphabet letters value")):
 
     @property
     def text(self) -> str:
-        return "".join([letter.codepoint for letter in self.letters])
+        return "".join(map(_CODEPOINT, self.letters))
 
     def __str__(self) -> str:
         return self.text
@@ -120,10 +123,11 @@ def encode(n: int, alphabet: Alphabet) -> AbjadNumeral:
     h the letter of value 100h, and for Arabic a thousands part the letter
     of value 1000.  Letters come out in ascending value order.
     """
-    n = check_int("n", n)
+    n = n if type(n) is int else check_int("n", n)
     if n == 0:
         raise ZeroUnencodable("zero is not a letter value and has no word form")
-    limit, low, high = lookup(_ENCODING, alphabet, "alphabet", "an Alphabet")
+    limit, low, high = (_ENCODING[alphabet] if type(alphabet) is Alphabet
+                        else lookup(_ENCODING, alphabet, "alphabet", "an Alphabet"))
     if not 1 <= n <= limit:
         raise OutOfRange(f"{int_text(n)} is outside 1..{limit} for {alphabet.value}")
     picked = low[n % 100] + high[n // 100]
@@ -197,7 +201,7 @@ _VALUE = itemgetter(1)  # the value of a memo entry
 
 # CPython keeps one empty str, so the default and every "" a caller passes
 # take gematria's fast path with one identity check.  Any other value, an
-# empty str subclass included, goes through check_text.
+# empty str subclass included, is read as every str argument is.
 _NO_IGNORE = ""
 
 
@@ -208,8 +212,9 @@ def decode(word: str, alphabet: Alphabet, strict: bool = False) -> int:
     mode additionally requires a canonical numeral: strictly ascending
     values, at most one letter per rank band.
     """
-    word = check_text("word", word)
-    table = lookup(_VALUES, alphabet, "alphabet", "an Alphabet")
+    word = word if type(word) is str else check_text("word", word)
+    table = (_VALUES[alphabet] if type(alphabet) is Alphabet
+             else lookup(_VALUES, alphabet, "alphabet", "an Alphabet"))
     if not strict:
         total = sum(map(table.__getitem__, word))
         if not total:  # every letter is worth at least 1, a skipped character 0
@@ -235,10 +240,11 @@ def gematria(phrase: str, alphabet: Alphabet, ignore: str = "") -> GematriaResul
     Codepoints listed in `ignore` (punctuation, typically) are skipped;
     anything else unmapped raises UnknownLetter.
     """
-    phrase = check_text("phrase", phrase)
-    words = lookup(_WORDS, alphabet, "alphabet", "an Alphabet")
+    phrase = phrase if type(phrase) is str else check_text("phrase", phrase)
+    words = (_WORDS[alphabet] if type(alphabet) is Alphabet
+             else lookup(_WORDS, alphabet, "alphabet", "an Alphabet"))
     if ignore is not _NO_IGNORE:
-        ignore = check_text("ignore", ignore)
+        ignore = ignore if type(ignore) is str else check_text("ignore", ignore)
         if ignore:
             words = _IGNORING[alphabet]
             if words.ignore != ignore:

@@ -31,7 +31,7 @@ from collections import namedtuple
 from enum import Enum
 
 from .alphabets import Alphabet, _rows, letters
-from .errors import InvalidGlyph, check_int, check_text, decimal, digit_limit, lookup
+from .errors import InvalidGlyph, check_int, check_text, digit_limit, lookup
 
 
 class DigitScript(Enum):
@@ -100,19 +100,24 @@ _PROVENANCE: dict[DigitScript, dict[int, DigitProvenance]] = {}
 
 def render_digits(n: int, script: DigitScript) -> str:
     """Decimal digit string of n in the script's glyphs, big-endian."""
-    n = check_int("n", n)
+    n = n if type(n) is int else check_int("n", n)
     if n < 0:
         raise ValueError("n must be non-negative")
-    table = lookup(_RENDER, script, "script", "a DigitScript")
-    return decimal(n, "n", "rendered").translate(table)
+    table = (_RENDER[script] if type(script) is DigitScript
+             else lookup(_RENDER, script, "script", "a DigitScript"))
+    try:
+        return int.__repr__(n).translate(table)
+    except ValueError:  # past the interpreter's int-to-str digit limit
+        raise digit_limit("n", "rendered") from None
 
 
 def parse_digits(text: str, script: DigitScript) -> int:
     """Inverse of render_digits; InvalidGlyph outside the script's glyph set."""
-    text = check_text("text", text)
+    text = text if type(text) is str else check_text("text", text)
     if not text:
         raise ValueError("empty digit string")
-    rest = text.lstrip(lookup(_GLYPHS, script, "script", "a DigitScript"))
+    rest = text.lstrip(_GLYPHS[script] if type(script) is DigitScript
+                       else lookup(_GLYPHS, script, "script", "a DigitScript"))
     if rest:
         raise InvalidGlyph(f"{rest[0]!r} is not a {script.value} digit")
     if script is DigitScript.ORIGINAL_MAGHREBI:
@@ -129,9 +134,11 @@ def transliterate(text: str, src: DigitScript, dst: DigitScript) -> str:
     Digit count and positions are preserved; the separators " .,-/" pass
     through unchanged (dates, folio labels).
     """
-    text = check_text("text", text)
-    accepted, to_dst = lookup(_TRANSLATE, src, "src", "a DigitScript")
-    table = lookup(to_dst, dst, "dst", "a DigitScript")
+    text = text if type(text) is str else check_text("text", text)
+    accepted, to_dst = (_TRANSLATE[src] if type(src) is DigitScript
+                        else lookup(_TRANSLATE, src, "src", "a DigitScript"))
+    table = (to_dst[dst] if type(dst) is DigitScript
+             else lookup(to_dst, dst, "dst", "a DigitScript"))
     rest = text.lstrip(accepted)
     if rest:
         raise InvalidGlyph(f"{rest[0]!r} is not a {src.value} digit or separator")
@@ -140,11 +147,12 @@ def transliterate(text: str, src: DigitScript, dst: DigitScript) -> str:
 
 def digit_provenance(digit: int, script: DigitScript) -> DigitProvenance:
     """Source letter and transformation note of one digit glyph."""
-    digit = check_int("digit", digit)
+    digit = digit if type(digit) is int else check_int("digit", digit)
     if not 0 <= digit <= 9:
         raise ValueError("digit must be 0..9")
     if not _PROVENANCE:
         # One update publishes the whole table: a concurrent first call finds
         # it empty, and reads the TSV too, or full, never half filled.
         _PROVENANCE.update(_read_provenance())
-    return lookup(_PROVENANCE, script, "script", "a DigitScript")[digit]
+    return (_PROVENANCE[script] if type(script) is DigitScript
+            else lookup(_PROVENANCE, script, "script", "a DigitScript"))[digit]

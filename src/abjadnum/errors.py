@@ -1,20 +1,22 @@
-"""Domain error classes.
+"""Domain error classes, and the one slow path of every argument check.
 
 Every error the library raises on bad domain input subclasses
 :class:`NumeralError`, whose ``code`` is the stable machine-readable name
 printed by the CLI as ``ERROR <code>: <detail>``.  Violated call
 preconditions (empty input, negative counts) raise plain ``ValueError``.
-An argument of the wrong type does too; :func:`lookup` is the one place
-that raises it for an ``Alphabet`` or ``DigitScript`` argument, whose
-member is looked up once per call in a table keyed by that enum.
+An argument of the wrong type does too, with a message built here.
 
-A ``str`` or ``int`` argument is read by :func:`check_text` or
-:func:`check_int`, and the function computes only on what they return: the
-argument itself when its type is exactly ``str`` or ``int``, and for a
-subclass its plain value (``str.__str__`` or ``int.__index__``).  So a
-subclass answers as its plain value does, and none of its own methods
-(comparison, arithmetic, iteration, ``split``, ``translate``...) runs
-inside the library.
+A public function reads an exact argument in line: a ``str`` or ``int``
+whose type is exactly that is used as it is, and an ``Alphabet`` or
+``DigitScript`` member indexes its table directly (every member is a key
+of every table keyed by its enum).  Any other value goes to this module,
+the one place a non-exact argument is read and every such message is
+built: :func:`lookup` finds an enum argument's entry or raises, and
+:func:`check_text` and :func:`check_int` give a subclass's plain value
+(``str.__str__`` or ``int.__index__``) or raise.  So a subclass answers as
+its plain value does, and none of its own methods (comparison,
+arithmetic, iteration, ``split``, ``translate``...) runs inside the
+library.
 """
 
 import sys
@@ -67,16 +69,6 @@ def digit_limit(name: str, verb: str) -> ValueError:
     )
 
 
-def decimal(n: int, name: str, verb: str) -> str:
-    """The decimal digits of int n, or the digit-limit error for `name`."""
-    try:
-        # Checked arguments are exact ints; int_text's values are not checked,
-        # and a subclass among them must not run its own __repr__ or __str__.
-        return int.__repr__(n)
-    except ValueError:  # past the interpreter's int-to-str digit limit
-        raise digit_limit(name, verb) from None
-
-
 def int_text(value) -> str:
     """`value` for a message, or a description where it has too many digits to print.
 
@@ -88,8 +80,9 @@ def int_text(value) -> str:
         except ValueError:  # e.g. a list holding an int past the digit limit
             return f"a {type(value).__name__}"
     try:
-        return decimal(value, "value", "written")
-    except ValueError:
+        # A subclass among the values must not run its own __repr__ or __str__.
+        return int.__repr__(value)
+    except ValueError:  # past the interpreter's int-to-str digit limit
         sign = "negative " if value < 0 else ""
         return f"a {sign}number of more than {sys.get_int_max_str_digits()} digits"
 
@@ -115,7 +108,8 @@ class UnknownLetter(NumeralError):
 
 
 class OutOfRange(NumeralError):
-    """The number lies outside the encodable range of the alphabet."""
+    """The number lies outside the encodable range of the alphabet, or the
+    year past the last one the Hijri conversion is stated for."""
 
 
 class ZeroUnencodable(NumeralError):

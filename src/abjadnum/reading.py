@@ -84,7 +84,7 @@ _GROUPS = tuple(
 
 def decompose(n: int) -> NumberReading:
     """Base-1000 groups of n, least significant first, zero parts omitted."""
-    n = check_int("n", n)
+    n = n if type(n) is int else check_int("n", n)
     if n < 0:
         raise ValueError("n must be non-negative")
     groups = []
@@ -139,7 +139,7 @@ def format_reading(
         raise wrong_type("labels", "a tuple of str", labels) from None
     if too_few:
         raise InsufficientLabels(f"{count} groups but only {len(labels)} labels")
-    direction = check_text("direction", direction)
+    direction = direction if type(direction) is str else check_text("direction", direction)
     rtl = direction == RIGHT_TO_LEFT
     if not rtl and direction != LEFT_TO_RIGHT:
         raise ValueError(f"direction must be {RIGHT_TO_LEFT!r} or {LEFT_TO_RIGHT!r}")

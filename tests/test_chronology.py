@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from abjadnum import PreEpoch, gregorian_to_hijri_year, hijri_to_gregorian_year
+from abjadnum import OutOfRange, PreEpoch, gregorian_to_hijri_year, hijri_to_gregorian_year
+from abjadnum.chronology import LAST_YEAR_AH, LAST_YEAR_CE
 
 
 class TestForward:
@@ -69,8 +70,13 @@ RATIO, OFFSET = Fraction("0.970224"), Fraction("621.5774")
 
 class TestExactArithmetic:
     def test_400_digit_years(self):
-        assert hijri_to_gregorian_year(HUGE) == round(RATIO * HUGE + OFFSET)
-        assert gregorian_to_hijri_year(HUGE) == round((HUGE - OFFSET) / RATIO)
+        # Past the stated limits both directions refuse, naming the last year.
+        with pytest.raises(OutOfRange) as exc:
+            hijri_to_gregorian_year(HUGE)
+        assert str(exc.value) == f"{HUGE} AH is past the last year converted (455637 AH)"
+        with pytest.raises(OutOfRange) as exc:
+            gregorian_to_hijri_year(HUGE)
+        assert str(exc.value) == f"{HUGE} CE is past the last year converted (456833 CE)"
 
     @pytest.mark.parametrize("year", [True, 1225.0, "1225", None])
     def test_non_int_is_a_usage_error(self, year):
@@ -78,19 +84,26 @@ class TestExactArithmetic:
             with pytest.raises(ValueError, match=rf"^{name} must be an int, not "):
                 convert(year)
 
-    @given(st.integers(min_value=1, max_value=10**60))
+    @given(st.integers(min_value=1, max_value=LAST_YEAR_CE))
     def test_both_directions_match_exact_rationals(self, year):
-        assert hijri_to_gregorian_year(year) == round(RATIO * year + OFFSET)
+        if year <= LAST_YEAR_AH:
+            assert hijri_to_gregorian_year(year) == round(RATIO * year + OFFSET)
         if year >= 622:
             assert gregorian_to_hijri_year(year) == max(1, round((year - OFFSET) / RATIO))
 
-    @pytest.mark.parametrize("k", [0, 1, 10**20, 10**40 + 3], ids=["0", "1", "1e20", "1e40+3"])
+    @pytest.mark.parametrize("k", [0, 1, 6, 10**20, 10**40 + 3],
+                             ids=["0", "1", "6", "1e20", "1e40+3"])
     def test_a_tie_rounds_as_halves_to_even(self, k):
         # g = 46307 (mod 60639) is the one class of years whose Hijri year
-        # lies exactly halfway between two integers.
+        # lies exactly halfway between two integers.  k = 6 is the last tie
+        # at or below the stated limit; past it the year is refused.
         g = 46307 + 60639 * k
         assert 2 * ((g - OFFSET) % RATIO) == RATIO
-        assert gregorian_to_hijri_year(g) == round((g - OFFSET) / RATIO)
+        if g > LAST_YEAR_CE:
+            with pytest.raises(OutOfRange):
+                gregorian_to_hijri_year(g)
+        else:
+            assert gregorian_to_hijri_year(g) == round((g - OFFSET) / RATIO)
 
 
 # The arithmetical (tabular) Islamic calendar, in integer arithmetic: the
@@ -152,17 +165,26 @@ class TestTabularCalendar:
         assert missed == []
 
     def test_the_stated_hijri_limit_is_the_first_miss(self):
-        # The docstrings state the overlap for h up to 455637, and no further.
-        last = 455638
+        # The docstrings state the overlap for h up to 455637, and no further:
+        # the rounded ratio misses the next year, which is refused.
+        last = LAST_YEAR_AH
         missed = [h for h in range(1, last + 1) if hijri_to_gregorian_year(h) not in _span(h)]
-        assert missed == [last]
+        assert (last, missed) == (455637, [])
+        assert round(RATIO * (last + 1) + OFFSET) not in _span(last + 1)
+        with pytest.raises(OutOfRange, match=r"^455638 AH is past the last year converted "):
+            hijri_to_gregorian_year(last + 1)
 
     def test_the_stated_gregorian_limit_is_the_first_miss(self):
-        # The docstrings state the overlap for g up to 456833, and no further.
-        last = 456834
+        # The docstrings state the overlap for g up to 456833, and no further:
+        # the rounded ratio misses the next year, which is refused.
+        last = LAST_YEAR_CE
         missed = []
         for g in range(622, last + 1):
             first, end = _span(gregorian_to_hijri_year(g))
             if not first <= g <= end:
                 missed.append(g)
-        assert missed == [last]
+        assert (last, missed) == (456833, [])
+        first, end = _span(round((last + 1 - OFFSET) / RATIO))
+        assert not first <= last + 1 <= end
+        with pytest.raises(OutOfRange, match=r"^456834 CE is past the last year converted "):
+            gregorian_to_hijri_year(last + 1)

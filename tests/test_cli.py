@@ -21,8 +21,6 @@ from abjadnum import (
     encode,
     format_reading,
     gematria,
-    gregorian_to_hijri_year,
-    hijri_to_gregorian_year,
 )
 from abjadnum.cli import _json, _parse_exact, build_parser, main
 
@@ -113,11 +111,16 @@ class TestHappyPaths:
         assert (code, out) == (0, "1225\n")
 
     def test_hijri_400_digit_year_both_directions(self, capsys):
-        year = int("9" * 400)
-        code, out, _ = run_cli(capsys, "hijri", str(year))
-        assert (code, out) == (0, f"{hijri_to_gregorian_year(year)}\n")
-        code, out, _ = run_cli(capsys, "hijri", "--reverse", str(year))
-        assert (code, out) == (0, f"{gregorian_to_hijri_year(year)}\n")
+        # Past the stated limits both directions refuse, naming the last year.
+        year = "9" * 400
+        code, out, err = run_cli(capsys, "hijri", year)
+        assert (code, out, err) == (
+            1, "", f"ERROR OutOfRange: {year} AH is past the last year converted (455637 AH)\n"
+        )
+        code, out, err = run_cli(capsys, "hijri", "--reverse", year)
+        assert (code, out, err) == (
+            1, "", f"ERROR OutOfRange: {year} CE is past the last year converted (456833 CE)\n"
+        )
 
 
 class TestStdin:
@@ -337,15 +340,14 @@ class TestUsageErrors:
         code, out, err = run_cli(capsys, "encode", "--alphabet", "arabic", "abc")
         assert (code, out, err) == (1, "", "ERROR InvalidGlyph: 'a' is not a western digit\n")
 
-    def test_result_past_the_digit_limit_names_the_limit(self, capsys):
+    def test_a_year_at_the_digit_limit_is_refused_naming_the_last_year(self, capsys):
+        # No result can pass the digit limit: a year that long is refused.
         year = "9" * sys.get_int_max_str_digits()
         code, out, err = run_cli(capsys, "hijri", "--reverse", year)
-        assert (code, out) == (2, "")
-        assert err.startswith(
-            f"usage error: the result has more than {sys.get_int_max_str_digits()} "
-            "decimal digits"
+        assert (code, out) == (1, "")
+        assert err == (
+            f"ERROR OutOfRange: {year} CE is past the last year converted (456833 CE)\n"
         )
-        assert "set_int_max_str_digits" not in err
 
     def test_rejected_argument_is_echoed_in_short(self, capsys):
         year = "9" * (sys.get_int_max_str_digits() + 1)

@@ -11,6 +11,7 @@ import inspect
 import io
 import sys
 import types
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -427,7 +428,9 @@ _OTHER_CALLS = [
     (abjadnum.decompose, (-1,)),
     (abjadnum.format_reading, (decompose(5), "up", abjadnum.DEFAULT_LABELS, False)),
     (abjadnum.hijri_to_gregorian_year, (0,)),
+    (abjadnum.hijri_to_gregorian_year, (455638,)),
     (abjadnum.gregorian_to_hijri_year, (600,)),
+    (abjadnum.gregorian_to_hijri_year, (456834,)),
 ]
 
 # (function, arguments, index) for each exact str or int argument of each call;
@@ -491,3 +494,88 @@ def _with(base, **methods):
 )
 def test_a_subclass_with_its_own_methods_is_read_as_its_value(fn, args, expected):
     assert _outcome(fn, args) == expected
+
+
+# -- one Python frame per well-formed call -------------------------------------
+
+O = DigitScript.ORIGINAL_MAGHREBI
+_READ = decompose(12_457_892)
+# (id, function, arguments) of a well-formed call of each hot public function.
+_HOT_CALLS = [
+    ("encode", abjadnum.encode, (1245, A)),
+    ("decode-lax", abjadnum.decode, ("همرغ", A)),
+    ("decode-strict", abjadnum.decode, ("همرغ", A, True)),
+    ("gematria", abjadnum.gematria, ("احمد زينب", A)),
+    ("gematria-ignore", abjadnum.gematria, ("احمد، زينب", A, "،")),
+    ("render_digits", abjadnum.render_digits, (1234, DigitScript.MASHREKI_EASTERN)),
+    ("parse_digits", abjadnum.parse_digits, ("١٢", DigitScript.MASHREKI_EASTERN)),
+    ("parse_digits-original", abjadnum.parse_digits, ("1254", O)),
+    ("transliterate", abjadnum.transliterate, ("12/4", W, O)),
+    ("digit_provenance", abjadnum.digit_provenance, (4, O)),
+    ("decompose", abjadnum.decompose, (12_457_892,)),
+    ("format_reading-rtl", abjadnum.format_reading, (_READ,)),
+    ("format_reading-ltr", abjadnum.format_reading, (_READ, "ltr")),
+    ("format_reading-figure-exact", abjadnum.format_reading,
+     (_READ, "rtl", abjadnum.DEFAULT_LABELS, True)),
+    ("hijri_to_gregorian_year", abjadnum.hijri_to_gregorian_year, (1445,)),
+    ("gregorian_to_hijri_year", abjadnum.gregorian_to_hijri_year, (2024,)),
+]
+
+
+def _python_calls(fn, *args) -> list[str]:
+    """The name of each Python function that fn(*args) runs, in call order."""
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    except ValueError:  # a slow-path call that is refused
+        pass
+    finally:
+        sys.setprofile(previous)
+    return names
+
+
+@pytest.mark.parametrize("fn, args", [call[1:] for call in _HOT_CALLS],
+                         ids=[call[0] for call in _HOT_CALLS])
+def test_a_well_formed_call_runs_in_one_python_frame(fn, args):
+    fn(*args)  # fills whatever table the call fills on first use
+    assert _python_calls(fn, *args) == [fn.__name__]
+
+
+def test_a_numerals_text_runs_in_one_python_frame():
+    assert _python_calls(attrgetter("text"), abjadnum.encode(1245, A)) == ["text"]
+
+
+# The errors helper that reads each kind of argument off the fast path.
+_HELPERS = {int: "check_int", str: "check_text", Alphabet: "lookup", DigitScript: "lookup"}
+
+
+def _off_the_fast_path(arg) -> list:
+    """(how, value) for each way of passing `arg` other than as its exact type."""
+    if type(arg) in _KINDS:
+        return [("value", arg.value), ("list", [arg])]
+    return [("subclass", {int: _Int, str: _Str}[type(arg)](arg)), ("list", [arg])]
+
+
+# (id, function, arguments, helper) for each int, str and enum argument of
+# each hot call, passed off the fast path.
+_SLOW_CALLS = [
+    (f"{name}-arg{index}-{how}", fn, (*args[:index], bad, *args[index + 1:]),
+     _HELPERS[type(arg)])
+    for name, fn, args in _HOT_CALLS
+    for index, arg in enumerate(args)
+    if type(arg) in _HELPERS
+    for how, bad in _off_the_fast_path(arg)
+]
+
+
+@pytest.mark.parametrize("fn, args, helper", [call[1:] for call in _SLOW_CALLS],
+                         ids=[call[0] for call in _SLOW_CALLS])
+def test_any_other_argument_is_read_by_the_errors_module(fn, args, helper):
+    assert helper in _python_calls(fn, *args)

@@ -9,6 +9,7 @@ from abjadnum import (
     PreEpoch,
     encode,
     gregorian_to_hijri_year,
+    hijri_to_gregorian_year,
     letter_by_value,
 )
 from abjadnum.errors import check_int, check_text
@@ -35,6 +36,10 @@ def _letter(n):
         (_letter, 10**5000, NotAnAbjadiValue, f"{PAST} is not a letter value"),
         (gregorian_to_hijri_year, -10**5000, PreEpoch,
          f"{NEGATIVE_PAST} CE precedes the first Hijri year (622 CE)"),
+        (gregorian_to_hijri_year, 10**5000, OutOfRange,
+         f"{PAST} CE is past the last year converted (456833 CE)"),
+        (hijri_to_gregorian_year, 10**5000, OutOfRange,
+         f"{PAST} AH is past the last year converted (455637 AH)"),
         # At the limit the message still writes the number out.
         (_encode, AT_LIMIT, OutOfRange, f"{AT_LIMIT} is outside 1..1999 for arabic"),
         (_letter, AT_LIMIT, NotAnAbjadiValue, f"{AT_LIMIT} is not a letter value"),
@@ -42,6 +47,7 @@ def _letter(n):
          f"{-AT_LIMIT} CE precedes the first Hijri year (622 CE)"),
     ],
     ids=["encode", "encode-negative", "letter_by_value", "gregorian_to_hijri_year",
+         "gregorian_to_hijri_year-positive", "hijri_to_gregorian_year",
          "encode-at-limit", "letter_by_value-at-limit", "gregorian_to_hijri_year-at-limit"],
 )
 def test_huge_int_raises_the_domain_error(call, n, error, message):

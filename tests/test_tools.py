@@ -1,10 +1,12 @@
 """The failure paths of ``tools/check_interpreters.py``.
 
-Each case runs the checker as a process on an interpreter made to fail, and
-reads its JSON lines and exit status.
+Each case runs the checker on an interpreter made to fail, and reads its JSON
+lines and exit status; the failed build runs the checker's functions in
+process, with this interpreter's name swapped for one that cannot build.
 """
 
 import json
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +20,14 @@ def _check(python: Path) -> tuple[list[dict], int]:
     return [json.loads(line) for line in proc.stdout.splitlines()], proc.returncode
 
 
+def _without_site(tmp_path: Path) -> Path:
+    """An interpreter that runs this one with -S: site-packages is off sys.path."""
+    python = tmp_path / "python"
+    python.write_text(f'#!/bin/sh\nexec {sys.executable} -S "$@"\n')
+    python.chmod(0o755)
+    return python
+
+
 def test_a_path_that_is_not_an_interpreter_fails_at_start(tmp_path):
     lines, code = _check(tmp_path)
     assert [(line["check"], line["ok"], line["version"]) for line in lines] == [
@@ -29,13 +39,27 @@ def test_a_path_that_is_not_an_interpreter_fails_at_start(tmp_path):
 def test_an_interpreter_without_pytest_fails_tier1(tmp_path):
     # -S leaves site-packages off sys.path, and the checker puts only src on
     # PYTHONPATH, so pytest cannot be imported.
-    python = tmp_path / "python"
-    python.write_text(f'#!/bin/sh\nexec {sys.executable} -S "$@"\n')
-    python.chmod(0o755)
-    lines, code = _check(python)
+    lines, code = _check(_without_site(tmp_path))
     assert [line["check"] for line in lines] == ["smoke", "tier1"], lines
     smoke, tier1 = lines
     assert smoke["ok"], smoke
     assert "skipped" not in tier1 and not tier1["ok"], tier1
     assert "No module named pytest" in tier1["detail"], tier1
     assert code == 1
+
+
+def test_a_failed_build_fails_each_smoke_line(tmp_path, monkeypatch, capsys):
+    # The checker builds with its own interpreter.  Made one that cannot import
+    # setuptools, the build fails, and each smoke line gives the build's last line.
+    checker = runpy.run_path(str(CHECKER))
+    python = _without_site(tmp_path)
+    monkeypatch.setattr(sys, "executable", str(python))
+    built = checker["_build"](tmp_path)
+    assert built == (None, "ModuleNotFoundError: No module named 'setuptools'")
+    assert not checker["check"](str(python), None, built)
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(line["check"], line["ok"]) for line in lines] == [
+        ("smoke", False), ("tier1", False)
+    ], lines
+    assert lines[0]["detail"] == built[1], lines[0]
+    assert "console-script entry point is not checked" in lines[0]["tree"], lines[0]

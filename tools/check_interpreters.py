@@ -2,10 +2,15 @@
 
     python3 tools/check_interpreters.py PYTHON... [--test-packages DIR]
 
-For each interpreter, in order, it runs two checks from the repository root:
+It first builds the package once, with the interpreter running this script:
+``python -c "import setuptools; setuptools.setup()" build --build-base B``,
+run on a temp copy of ``pyproject.toml``, ``README.md`` and ``src``, so that
+nothing is written into the checkout.  ``B/lib`` is then the tree a wheel
+would hold.  For each interpreter, in order, it runs two checks:
 
-- ``smoke``: ``tools/smoke.py``, from a temp dir holding a copy of
-  ``src/abjadnum``, which is then all that is on PYTHONPATH;
+- ``smoke``: ``tools/smoke.py``, with ``B/lib`` all that is on PYTHONPATH.
+  The console-script entry point is not checked this way, and the line says
+  so.  If the build failed, each ``smoke`` line fails with its last line;
 - ``tier1``: the Tier-1 command, ``-m pytest -q --continue-on-collection-errors``,
   with ``src`` (and DIR) on PYTHONPATH.  Before 3.11 it also puts
   ``tools/before_3_11`` there, for the test-only ``exceptiongroup`` stand-in,
@@ -47,21 +52,31 @@ def _run(python: str, args: list[str], pythonpath: str,
                           text=True, errors="replace", timeout=TIMEOUT_S)
 
 
-def _smoke(python: str, args: list[str]) -> subprocess.CompletedProcess:
-    # The smoke script refuses a package that imports from inside the checkout.
-    with tempfile.TemporaryDirectory() as tmp:
-        shutil.copytree(ROOT / "src" / "abjadnum", Path(tmp) / "abjadnum",
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        return _run(python, args, tmp, cwd=Path(tmp))
-
-
 def _last_line(proc: subprocess.CompletedProcess) -> str:
     lines = (proc.stdout + proc.stderr).strip().splitlines()
     return lines[-1] if lines else ""
 
 
-def check(python: str, packages: str | None) -> bool:
-    """Print one JSON line per check of `python`; True if none failed."""
+def _build(tmp: Path) -> tuple[Path | None, str]:
+    """(B/lib, "") for the package built under `tmp`, or (None, the build's last line)."""
+    source = tmp / "source"
+    shutil.copytree(ROOT / "src", source / "src",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy(ROOT / name, source / name)
+    build = tmp / "build"
+    try:
+        proc = _run(sys.executable, ["-c", "import setuptools; setuptools.setup()", "build",
+                                     "--build-base", str(build)], "", cwd=source)
+    except subprocess.TimeoutExpired:
+        return None, f"build timed out after {TIMEOUT_S} s"
+    if proc.returncode != 0:
+        return None, _last_line(proc)
+    return build / "lib", ""
+
+
+def check(python: str, packages: str | None, built: tuple[Path | None, str]) -> bool:
+    """Print one JSON line per check of `python` against the `built` tree; True if none failed."""
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), packages]))
     try:
         probe = _run(python, ["-c", "import sys; print(sys.version.split()[0])"],
@@ -73,20 +88,25 @@ def check(python: str, packages: str | None) -> bool:
         print(json.dumps({**record, "check": "start", "ok": False, "detail": _last_line(probe)}),
               flush=True)
         return False
+    lib, build_error = built
     passed = True
     for name, args in CHECKS.items():
         line = {**record, "check": name}
-        path = pythonpath
+        path, cwd = pythonpath, ROOT
         if name == "tier1" and tuple(map(int, record["version"].split(".")[:2])) < (3, 11):
             path = os.pathsep.join([pythonpath, str(BEFORE_3_11)])
             line["with"] = "the exceptiongroup stand-in in tools/before_3_11"
+        if name == "smoke":
+            # The smoke script refuses a package that imports from the checkout.
+            line["tree"] = "built by setuptools; the console-script entry point is not checked"
+            path, cwd = str(lib), lib
         start = time.perf_counter()
         try:
-            if name == "smoke":
-                proc = _smoke(python, args)
+            if name == "smoke" and lib is None:
+                ok, detail = False, build_error
             else:
-                proc = _run(python, args, path)
-            ok, detail = proc.returncode == 0, _last_line(proc)
+                proc = _run(python, args, path, cwd=cwd)
+                ok, detail = proc.returncode == 0, _last_line(proc)
         except subprocess.TimeoutExpired:
             ok, detail = False, f"timed out after {TIMEOUT_S} s"
         seconds = round(time.perf_counter() - start, 1)
@@ -102,7 +122,9 @@ def main(argv=None) -> int:
     parser.add_argument("--test-packages", metavar="DIR",
                         help="a directory to put on PYTHONPATH for pytest and hypothesis")
     args = parser.parse_args(argv)
-    results = [check(python, args.test_packages) for python in args.pythons]
+    with tempfile.TemporaryDirectory() as tmp:
+        built = _build(Path(tmp))
+        results = [check(python, args.test_packages, built) for python in args.pythons]
     return 0 if all(results) else 1
 
 
