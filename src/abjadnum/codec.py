@@ -59,7 +59,7 @@ since each such call builds a new memo and table copy.
 """
 
 from collections import namedtuple
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from .alphabets import ABJADI_SEQUENCE, Alphabet, letter_for_codepoint, letters
 from .errors import NonCanonical, OutOfRange, UnknownLetter, ZeroUnencodable
@@ -70,9 +70,6 @@ MAX_ENCODABLE = {Alphabet.ARABIC: 1999, Alphabet.HEBREW: 499}
 # Tatweel, the Arabic elongation mark; carries no value, appears freely.
 _TATWEEL = "ـ"
 
-# A letter's codepoint, read by name: a hand-built record's letters need not be tuples.
-_CODEPOINT = attrgetter("codepoint")
-
 
 class AbjadNumeral(namedtuple("AbjadNumeral", "alphabet letters value")):
     """A canonical letter-word denoting `value` in one alphabet."""
@@ -81,7 +78,12 @@ class AbjadNumeral(namedtuple("AbjadNumeral", "alphabet letters value")):
 
     @property
     def text(self) -> str:
-        return "".join(map(_CODEPOINT, self.letters))
+        # A loop: a comprehension is a frame of its own before CPython 3.12,
+        # and map over an attrgetter is slower than either from 3.12 on.
+        parts = []
+        for letter in self.letters:
+            parts.append(letter.codepoint)
+        return "".join(parts)
 
     def __str__(self) -> str:
         return self.text
