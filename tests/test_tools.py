@@ -1,8 +1,9 @@
 """The failure paths of ``tools/check_interpreters.py``.
 
-Each case runs the checker on an interpreter made to fail, and reads its JSON
-lines and exit status; the failed build runs the checker's functions in
-process, with this interpreter's name swapped for one that cannot build.
+Each case gives the checker an interpreter made to fail and reads its JSON
+lines.  Most run the checker as a process and read its exit status too; the
+failed build calls its functions in process, with ``sys.executable`` set to
+an interpreter that cannot import setuptools.
 """
 
 import importlib.util
@@ -57,7 +58,7 @@ def test_an_interpreter_without_pytest_fails_tier1(tmp_path):
 
 
 def test_a_failed_build_fails_each_smoke_line(tmp_path, monkeypatch, capsys):
-    # The checker builds with its own interpreter.  Made one that cannot import
+    # The checker builds with its own interpreter.  Given one that cannot import
     # setuptools, the build fails, and each smoke line gives the build's last line.
     checker = runpy.run_path(str(CHECKER))
     python = _without_site(tmp_path)
