@@ -83,7 +83,12 @@ _GROUPS = tuple(
 
 
 def decompose(n: int) -> NumberReading:
-    """Base-1000 groups of n, least significant first, zero parts omitted."""
+    """Base-1000 groups of n, least significant first.
+
+    Every group up to the most significant is kept, a zero one too:
+    1000005 has Group(1, 0, ()).  Only a group's zero rank components are
+    left out, and 0 has the one group Group(0, 0, ()).
+    """
     n = n if type(n) is int else check_int("n", n)
     if n < 0:
         raise ValueError("n must be non-negative")

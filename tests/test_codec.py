@@ -7,8 +7,12 @@ the canonical words cover 1..1999 (Arabic) and 1..499 (Hebrew) exactly
 once each, and pins what encode() must return.
 """
 
+import copy
 import itertools
+import os
+import pickle
 import random
+import subprocess
 import sys
 import threading
 import unicodedata
@@ -140,6 +144,96 @@ class TestEncode:
         with pytest.raises(ValueError, match=r"^n must be an int, not ") as raised:
             encode(n, Alphabet.ARABIC)
         assert not isinstance(raised.value, NumeralError)
+
+
+class _Int(int):
+    pass
+
+
+# Run in a fresh interpreter, where every table is empty: each value's first
+# encode builds its record, so its first text is the one the miss stored.
+_COLD_TEXTS = """
+from abjadnum import Alphabet, codec, encode
+assert not codec._TEXTS and not any(codec._NUMERALS.values())
+wrong = []
+for alphabet in Alphabet:
+    for n in range(1, codec.MAX_ENCODABLE[alphabet] + 1):
+        numeral = encode(n, alphabet)
+        joined = "".join([letter.codepoint for letter in numeral.letters])
+        first = numeral.text
+        second = numeral.text
+        if (first, second) != (joined, joined):
+            wrong.append((alphabet.name, n, first, second, joined))
+print(len(codec._TEXTS), wrong)
+"""
+
+
+class TestSharedNumerals:
+    def test_every_first_text_is_its_letters_joined(self):
+        package_root = os.path.dirname(os.path.dirname(codec.__file__))
+        env = {**os.environ, "PYTHONPATH": package_root}
+        proc = subprocess.run([sys.executable, "-c", _COLD_TEXTS], capture_output=True,
+                              encoding="utf-8", env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{sum(MAX_ENCODABLE.values())} []\n"
+
+    @pytest.mark.parametrize("alphabet", list(Alphabet))
+    def test_encode_hands_out_one_record_per_value(self, alphabet):
+        for n in range(1, MAX_ENCODABLE[alphabet] + 1):
+            assert encode(n, alphabet) is encode(n, alphabet)
+        assert encode(_Int(7), alphabet) is encode(7, alphabet)
+        table = codec._NUMERALS[alphabet]
+        assert sorted(table) == list(range(1, MAX_ENCODABLE[alphabet] + 1))
+        assert all(type(n) is int for n in table)
+
+    def test_each_kept_text_belongs_to_a_stored_record(self):
+        for alphabet in Alphabet:
+            for n in range(1, MAX_ENCODABLE[alphabet] + 1):
+                encode(n, alphabet)
+        stored = [numeral.letters for table in codec._NUMERALS.values()
+                  for numeral in table.values()]
+        assert set(codec._TEXTS) == set(map(id, stored))
+        for letters_ in stored:
+            assert codec._TEXTS[id(letters_)] == "".join([x.codepoint for x in letters_])
+
+    def test_a_hand_built_numeral_joins_its_own_letters(self):
+        A = Alphabet.ARABIC
+        shared = encode(1245, A)
+        assert shared.text == "همرغ"
+        for numeral, text in [
+            (AbjadNumeral(A, tuple(list(shared.letters)), 1245), "همرغ"),  # fresh letters
+            (AbjadNumeral(A, shared.letters[::-1], 1245), "غرمه"),
+            (AbjadNumeral(A, encode(5, A).letters, 7), "ه"),  # shared letters, another value
+            (AbjadNumeral(A, shared.letters, 5), "همرغ"),
+            (AbjadNumeral(A, list(shared.letters), 1245), "همرغ"),
+            (AbjadNumeral(A, list(shared.letters[::-1]), 1245), "غرمه"),
+            (AbjadNumeral(A, (), 0), ""),
+        ]:
+            assert numeral.text == text == str(numeral), numeral
+            assert numeral.text == text  # and a second time
+
+    def test_a_copied_numeral_has_the_same_text(self):
+        for alphabet, n in [(Alphabet.ARABIC, 1245), (Alphabet.ARABIC, 5), (Alphabet.HEBREW, 499)]:
+            shared = encode(n, alphabet)
+            copies = [copy.copy(shared), copy.deepcopy(shared)] + [
+                pickle.loads(pickle.dumps(shared, protocol))
+                for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+            ]
+            for copied in copies:
+                assert copied == shared
+                assert copied.text == copied.text == shared.text
+
+    @pytest.mark.parametrize("alphabet", list(Alphabet))
+    def test_a_failed_encode_stores_nothing(self, alphabet):
+        limit = MAX_ENCODABLE[alphabet]
+        table = codec._NUMERALS[alphabet]
+        before = dict(table), dict(codec._TEXTS)
+        for n in (0, limit + 1, -1, -limit, 10**30, True, False, "5", 5.0, _Int(limit + 1), _Int(0)):
+            with pytest.raises(ValueError):
+                encode(n, alphabet)
+        assert (dict(table), dict(codec._TEXTS)) == before
+        assert len(table) <= limit
+        assert len(codec._TEXTS) <= sum(MAX_ENCODABLE.values())
 
 
 class TestDecode:

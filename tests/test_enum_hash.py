@@ -74,7 +74,7 @@ def test_the_hash_is_the_identity_hash():
 def test_every_enum_keyed_table_is_checked():
     assert sorted(_enum_tables()) == [
         "alphabets._BY_VALUE", "alphabets._LETTERS",
-        "codec.MAX_ENCODABLE", "codec._ENCODING", "codec._IGNORING", "codec._VALUES",
+        "codec.MAX_ENCODABLE", "codec._IGNORING", "codec._NUMERALS", "codec._VALUES",
         "codec._WORDS",
         "digits._GLYPHS", "digits._PROVENANCE", "digits._RENDER", "digits._TRANSLATE",
         "digits._TRANSLATE[MASHREKI_EASTERN][1]", "digits._TRANSLATE[ORIGINAL_MAGHREBI][1]",

@@ -55,6 +55,18 @@ class TestDecompose:
             ("hundreds", 300),
         ]
 
+    def test_zero_groups_are_kept_and_only_zero_components_omitted(self):
+        # The docstring's rule: every group up to the most significant is
+        # kept, a zero one too; a group leaves out its zero rank components.
+        units = lambda value: (RankComponent("units", value),)
+        assert decompose(1000005).groups == (
+            Group(0, 5, units(5)), Group(1, 0, ()), Group(2, 1, units(1)),
+        )
+        assert decompose(10**15).groups == (
+            *(Group(index, 0, ()) for index in range(5)), Group(5, 1, units(1)),
+        )
+        assert decompose(0).groups == (Group(0, 0, ()),)
+
     def test_reconstruction_exhaustive(self):
         for n in range(100000):
             reading = decompose(n)

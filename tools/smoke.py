@@ -87,6 +87,11 @@ CHECKS = [
     ("encode-out-of-range-exit", _cli("encode", "--alphabet", "arabic", "2000"), _exits(1)),
     ("encode-out-of-range-error", _cli("encode", "--alphabet", "arabic", "2000"),
      _first_error_line("ERROR OutOfRange: ")),
+    # Encode hands out one record per value: for every value of both
+    # alphabets, a second call gives the same record, and its text, read
+    # twice, is its letters joined.
+    ("encode-shares-records", ("-c", "from abjadnum import MAX_ENCODABLE, encode; wrong = [(a.name, n) for a, limit in MAX_ENCODABLE.items() for n in range(1, limit + 1) for r in [encode(n, a)] if not (r.text == r.text == ''.join([x.codepoint for x in r.letters]) and encode(n, a) is r)]; assert not wrong, wrong"),
+     _succeeds),
     # A reading of four groups reaches the last shared group table (index 3);
     # one of five groups, past it, reads with five labels and exits 1 with
     # InsufficientLabels under the default four.
