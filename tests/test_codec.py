@@ -168,14 +168,71 @@ print(len(codec._TEXTS), wrong)
 """
 
 
+# Run in a fresh interpreter: threads, more than there are cores, walk every
+# value in one order, so that they miss on the same value together, switching
+# as often as the interpreter allows.  Each value must come out as one
+# record, and each kept text must belong to the letters of a stored record:
+# a text kept for a record that lost setdefault would name a freed tuple.
+# Each round starts from empty tables, the texts emptied with them.
+_COLD_THREADS = """
+import random, sys, threading
+from abjadnum import codec, encode
+calls = [(n, a) for a, limit in codec.MAX_ENCODABLE.items() for n in range(1, limit + 1)]
+random.Random(1).shuffle(calls)
+
+def race():
+    start = threading.Barrier(8)
+    got = []
+
+    def work():
+        start.wait()
+        got.append({call: encode(*call) for call in calls})
+
+    threads = [threading.Thread(target=work) for _ in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    return got
+
+previous = sys.getswitchinterval()
+sys.setswitchinterval(1e-6)
+try:
+    for _ in range(4):
+        for table in codec._NUMERALS.values():
+            table.clear()
+        codec._TEXTS.clear()
+        got = race()
+        stored = {(n, a): numeral for a, table in codec._NUMERALS.items()
+                  for n, numeral in table.items()}
+        assert len(got) == 8 and len(stored) == len(calls)
+        assert all(numerals[call] is stored[call] for numerals in got for call in calls)
+        assert set(codec._TEXTS) == {id(numeral.letters) for numeral in stored.values()}
+        assert all(numeral.text == "".join([x.codepoint for x in numeral.letters])
+                   for numeral in stored.values())
+finally:
+    sys.setswitchinterval(previous)
+print("ok")
+"""
+
+
+def _fresh(code: str) -> str:
+    """stdout of `code` in a fresh interpreter that imports this abjadnum."""
+    package_root = os.path.dirname(os.path.dirname(codec.__file__))
+    env = {**os.environ, "PYTHONPATH": package_root}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          encoding="utf-8", env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestSharedNumerals:
     def test_every_first_text_is_its_letters_joined(self):
-        package_root = os.path.dirname(os.path.dirname(codec.__file__))
-        env = {**os.environ, "PYTHONPATH": package_root}
-        proc = subprocess.run([sys.executable, "-c", _COLD_TEXTS], capture_output=True,
-                              encoding="utf-8", env=env, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == f"{sum(MAX_ENCODABLE.values())} []\n"
+        assert _fresh(_COLD_TEXTS) == f"{sum(MAX_ENCODABLE.values())} []\n"
+
+    def test_threads_that_miss_together_share_one_record(self):
+        assert _fresh(_COLD_THREADS) == "ok\n"
 
     @pytest.mark.parametrize("alphabet", list(Alphabet))
     def test_encode_hands_out_one_record_per_value(self, alphabet):
