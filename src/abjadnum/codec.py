@@ -184,7 +184,7 @@ def encode(n: int, alphabet: Alphabet) -> AbjadNumeral:
         raise ZeroUnencodable("zero is not a letter value and has no word form")
     numerals = (_NUMERALS[alphabet] if type(alphabet) is Alphabet
                 else lookup(_NUMERALS, alphabet, "alphabet", "an Alphabet"))
-    return numerals[n]  # OutOfRange past the limit
+    return numerals[n]  # a miss outside 1..limit raises OutOfRange
 
 
 class _Values(dict):

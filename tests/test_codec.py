@@ -267,7 +267,6 @@ class TestSharedNumerals:
             (AbjadNumeral(A, (), 0), ""),
         ]:
             assert numeral.text == text == str(numeral), numeral
-            assert numeral.text == text  # and a second time
 
     def test_a_copied_numeral_has_the_same_text(self):
         for alphabet, n in [(Alphabet.ARABIC, 1245), (Alphabet.ARABIC, 5), (Alphabet.HEBREW, 499)]:
