@@ -145,8 +145,14 @@ class TestStdin:
             (["hijri"], "1225\r\n", "1810"),
             (["hijri"], "\t1225\t\n", "1810"),
             (["decode", "--alphabet", "arabic", "--strict"], "همرغ\r\n", "1245"),
+            (["translit", "--from", "mashreki", "--to", "original"], "١٢٤٥/٠٣/١٧\r\n",
+             "1254/03/17"),
+            # Five groups, past the default four labels, read with five.
+            (["read", "--direction", "ltr", "--labels", ",k,M,G,T"], "\t1002003004005\n",
+             "1 T 2 G 3 M 4 k 5"),
         ],
-        ids=["hijri-crlf", "hijri-tabs", "decode-strict-crlf"],
+        ids=["hijri-crlf", "hijri-tabs", "decode-strict-crlf", "translit-date-crlf",
+             "read-five-labels-tabs"],
     )
     def test_carriage_returns_and_tabs_around_the_input_are_stripped(
         self, capsys, monkeypatch, argv, text, printed

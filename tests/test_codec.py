@@ -410,6 +410,12 @@ class TestGematria:
             ("ا ، ب", "،", (("ا", 1), ("،", 0), ("ب", 2))),
             # Whitespace in ignore neither splits nor joins tokens.
             ("ا ،ب", "، ", (("ا", 1), ("،ب", 2))),
+            # A letter in ignore counts 0.  Run in this order, each set replaces
+            # the last one's memo, and the empty set goes back to the plain memo.
+            ("احمد زينب", "ا", (("احمد", 52), ("زينب", 69))),
+            ("احمد زينب", "ب", (("احمد", 53), ("زينب", 67))),
+            ("احمد زينب", "ا", (("احمد", 52), ("زينب", 69))),
+            ("احمد زينب", "", (("احمد", 53), ("زينب", 69))),
         ],
     )
     def test_ignore_keeps_every_token_in_place(self, phrase, ignore, per_word):

@@ -10,10 +10,10 @@ the digit-provenance TSV is read on the first ``digit_provenance`` call.
 ``import abjadnum.cli`` loads no library module but ``alphabets`` and
 ``errors``, and a CLI call loads the modules of its own subcommand alone; a
 well-formed one loads no ``argparse``, ``gettext`` or ``locale``, which a
-parser build loads.  Each case runs in a fresh interpreter with this
-checkout's ``src`` on PYTHONPATH, and compares ``sys.modules`` before and
-after, so a ``site`` that already imports one of these modules does not fail
-it.
+parser build loads.  Each case runs in a fresh interpreter with the directory
+that holds the imported ``abjadnum`` on PYTHONPATH, so that the tree under
+test is what starts, and compares ``sys.modules`` before and after, so a
+``site`` that already imports one of these modules does not fail it.
 """
 
 import ast
@@ -22,7 +22,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+import abjadnum
+
+PACKAGE_ROOT = Path(abjadnum.__file__).parent.parent
 
 DEFERRED = {"json", "unicodedata"}
 NEVER_LOADED = {"dataclasses", "inspect"}
@@ -86,7 +88,7 @@ print(repr(dict(
 def _fresh(code: str, **names) -> str:
     """stdout of `code` in a fresh interpreter, `names` bound as literals."""
     prelude = "".join(f"{name} = {value!r}\n" for name, value in names.items())
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_ROOT)}
     proc = subprocess.run([sys.executable, "-c", prelude + code], capture_output=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
@@ -146,6 +148,7 @@ def test_a_first_use_answers_as_a_warm_process(first_use):
     # The call itself loaded what it needs, and the warm process already had.
     assert LOADS.get(first_use, set()) - set(cold["preloaded"]) <= set(cold["called"]), cold
     assert DEFERRED.isdisjoint(warm["called"]), warm
+    assert "json" not in cold["called"], cold
     assert NEVER_LOADED.isdisjoint(cold["cli"] + cold["called"]), cold
     assert cold["filled"] == (30 if first_use in READS_PROVENANCE else 0)
 

@@ -39,27 +39,24 @@ def test_a_path_that_is_not_an_interpreter_fails_at_start(tmp_path):
 
 
 def test_an_interpreter_without_pytest_fails_tier1(tmp_path):
-    # -S leaves site-packages off sys.path, and the checker puts only src on
-    # PYTHONPATH, so pytest cannot be imported.
+    # -S leaves site-packages off sys.path, and the checker puts only the
+    # built tree on PYTHONPATH, so pytest cannot be imported.
     lines, code = _check(_without_site(tmp_path))
-    assert [line["check"] for line in lines] == ["smoke", "tier1"], lines
-    smoke, tier1 = lines
-    # The checker builds with its own interpreter, this one: smoke can pass
-    # only where it has setuptools, which ensurepip no longer installs from 3.12 on.
+    assert [line["check"] for line in lines] == ["tier1"], lines
+    (tier1,) = lines
+    # The checker builds with its own interpreter, this one: it can build only
+    # where it has setuptools, which ensurepip no longer installs from 3.12 on.
     if importlib.util.find_spec("setuptools"):
-        assert smoke["ok"], smoke
+        assert "No module named pytest" in tier1["detail"], tier1
     else:
-        assert (smoke["ok"], smoke["detail"]) == (
-            False, "ModuleNotFoundError: No module named 'setuptools'"
-        ), smoke
+        assert tier1["detail"] == "ModuleNotFoundError: No module named 'setuptools'", tier1
     assert "skipped" not in tier1 and not tier1["ok"], tier1
-    assert "No module named pytest" in tier1["detail"], tier1
     assert code == 1
 
 
-def test_a_failed_build_fails_each_smoke_line(tmp_path, monkeypatch, capsys):
+def test_a_failed_build_fails_each_tier1_line(tmp_path, monkeypatch, capsys):
     # The checker builds with its own interpreter.  Given one that cannot import
-    # setuptools, the build fails, and each smoke line gives the build's last line.
+    # setuptools, the build fails, and each tier1 line gives the build's last line.
     checker = runpy.run_path(str(CHECKER))
     python = _without_site(tmp_path)
     monkeypatch.setattr(sys, "executable", str(python))
@@ -67,8 +64,7 @@ def test_a_failed_build_fails_each_smoke_line(tmp_path, monkeypatch, capsys):
     assert built == (None, "ModuleNotFoundError: No module named 'setuptools'")
     assert not checker["check"](str(python), None, built)
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert [(line["check"], line["ok"]) for line in lines] == [
-        ("smoke", False), ("tier1", False)
+    assert [(line["check"], line["ok"], line["detail"]) for line in lines] == [
+        ("tier1", False, built[1])
     ], lines
-    assert lines[0]["detail"] == built[1], lines[0]
     assert "console-script entry point is not checked" in lines[0]["tree"], lines[0]

@@ -1,4 +1,4 @@
-"""Run the repository's checks under each named Python interpreter.
+"""Run the Tier-1 tests on the built package under each named Python interpreter.
 
     python3 tools/check_interpreters.py PYTHON... [--test-packages DIR]
 
@@ -6,16 +6,16 @@ It first builds the package once, with the interpreter running this script:
 ``python -c "import setuptools; setuptools.setup()" build --build-base B``,
 run on a temp copy of ``pyproject.toml``, ``README.md`` and ``src``, so that
 nothing is written into the checkout.  ``B/lib`` is then the tree a wheel
-would hold.  For each interpreter, in order, it runs two checks:
-
-- ``smoke``: ``tools/smoke.py``, with ``B/lib`` all that is on PYTHONPATH.
-  The console-script entry point is not checked this way, and the line says
-  so.  If the build failed, each ``smoke`` line fails with its last line;
-- ``tier1``: the Tier-1 command, ``-m pytest -q --continue-on-collection-errors``,
-  with ``src`` (and DIR) on PYTHONPATH.  Before 3.11 it also puts
-  ``tools/before_3_11`` there, for the test-only ``exceptiongroup`` stand-in,
-  and its line says so.  An interpreter that cannot import pytest and
-  hypothesis from its own site-packages or from DIR fails it.
+would hold, and that interpreter needs ``setuptools``.  For each
+interpreter, in order, it runs one check, ``tier1``: the Tier-1 command,
+``-m pytest -q --continue-on-collection-errors``, from the checkout root with
+``B/lib`` (and DIR) on PYTHONPATH in place of ``src``, so that the package and
+its data/*.tsv files as built are what the tests import.  The console-script
+entry point is not checked this way, and the line says so.  Before 3.11 it
+also puts ``tools/before_3_11`` there, for the test-only ``exceptiongroup``
+stand-in, and its line says so.  If the build failed, each ``tier1`` line
+fails with the build's last line.  An interpreter that cannot import pytest
+and hypothesis from its own site-packages or from DIR fails it.
 
 DIR is a directory of pure-Python packages (pytest, hypothesis and what they
 import) for interpreters that lack them.  Nothing is searched for or
@@ -36,10 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-CHECKS = {
-    "smoke": [str(ROOT / "tools" / "smoke.py")],
-    "tier1": ["-m", "pytest", "-q", "--continue-on-collection-errors"],
-}
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 # pytest and hypothesis import exceptiongroup before 3.11; a stand-in is here.
 BEFORE_3_11 = ROOT / "tools" / "before_3_11"
 TIMEOUT_S = 900
@@ -76,8 +73,9 @@ def _build(tmp: Path) -> tuple[Path | None, str]:
 
 
 def check(python: str, packages: str | None, built: tuple[Path | None, str]) -> bool:
-    """Print one JSON line per check of `python` against the `built` tree; True if none failed."""
-    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), packages]))
+    """Print the JSON line of Tier-1 under `python` on the `built` tree; True if it passed."""
+    lib, build_error = built
+    pythonpath = os.pathsep.join(filter(None, [str(lib) if lib else None, packages]))
     try:
         probe = _run(python, ["-c", "import sys; print(sys.version.split()[0])"],
                      pythonpath)
@@ -88,31 +86,23 @@ def check(python: str, packages: str | None, built: tuple[Path | None, str]) -> 
         print(json.dumps({**record, "check": "start", "ok": False, "detail": _last_line(probe)}),
               flush=True)
         return False
-    lib, build_error = built
-    passed = True
-    for name, args in CHECKS.items():
-        line = {**record, "check": name}
-        path, cwd = pythonpath, ROOT
-        if name == "tier1" and tuple(map(int, record["version"].split(".")[:2])) < (3, 11):
-            path = os.pathsep.join([pythonpath, str(BEFORE_3_11)])
-            line["with"] = "the exceptiongroup stand-in in tools/before_3_11"
-        if name == "smoke":
-            # The smoke script refuses a package that imports from the checkout.
-            line["tree"] = "built by setuptools; the console-script entry point is not checked"
-            path, cwd = str(lib), lib
-        start = time.perf_counter()
-        try:
-            if name == "smoke" and lib is None:
-                ok, detail = False, build_error
-            else:
-                proc = _run(python, args, path, cwd=cwd)
-                ok, detail = proc.returncode == 0, _last_line(proc)
-        except subprocess.TimeoutExpired:
-            ok, detail = False, f"timed out after {TIMEOUT_S} s"
-        seconds = round(time.perf_counter() - start, 1)
-        print(json.dumps({**line, "ok": ok, "seconds": seconds, "detail": detail}), flush=True)
-        passed = passed and ok
-    return passed
+    line = {**record, "check": "tier1",
+            "tree": "built by setuptools; the console-script entry point is not checked"}
+    if tuple(map(int, record["version"].split(".")[:2])) < (3, 11):
+        pythonpath = os.pathsep.join([pythonpath, str(BEFORE_3_11)])
+        line["with"] = "the exceptiongroup stand-in in tools/before_3_11"
+    start = time.perf_counter()
+    try:
+        if lib is None:
+            ok, detail = False, build_error
+        else:
+            proc = _run(python, TIER1, pythonpath)
+            ok, detail = proc.returncode == 0, _last_line(proc)
+    except subprocess.TimeoutExpired:
+        ok, detail = False, f"timed out after {TIMEOUT_S} s"
+    seconds = round(time.perf_counter() - start, 1)
+    print(json.dumps({**line, "ok": ok, "seconds": seconds, "detail": detail}), flush=True)
+    return ok
 
 
 def main(argv=None) -> int:
