@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 # Each module and the public names it exports, in __all__'s order.
 _EXPORTS = {
     "alphabets": ("ABJADI_SEQUENCE", "Alphabet", "Letter", "letters", "letter_by_value",
-                  "letter_for_codepoint", "max_letter_value"),
+                  "letter_for_codepoint"),
     "codec": ("AbjadNumeral", "GematriaResult", "MAX_ENCODABLE", "encode", "decode",
               "gematria"),
     "digits": ("DigitScript", "DigitProvenance", "SEPARATORS", "render_digits",

@@ -86,10 +86,6 @@ def letters(alphabet: Alphabet) -> tuple[Letter, ...]:
     return lookup(_LETTERS, alphabet, "alphabet", "an Alphabet")
 
 
-def max_letter_value(alphabet: Alphabet) -> int:
-    return letters(alphabet)[-1].value
-
-
 def letter_by_value(alphabet: Alphabet, value: int) -> Letter:
     """The unique letter of `alphabet` carrying `value`.
 
@@ -108,7 +104,7 @@ def letter_by_value(alphabet: Alphabet, value: int) -> Letter:
     if value in ABJADI_SEQUENCE:
         raise OutOfAlphabetRange(
             f"{value} exceeds the last {alphabet.value} letter value "
-            f"({max_letter_value(alphabet)})"
+            f"({_LETTERS[alphabet][-1].value})"
         )
     raise NotAnAbjadiValue(f"{int_text(value)} is not a letter value")
 

@@ -9,7 +9,6 @@ from abjadnum import (
     letter_by_value,
     letter_for_codepoint,
     letters,
-    max_letter_value,
 )
 
 EXPECTED_SEQUENCE = (
@@ -63,8 +62,8 @@ class TestTables:
                 seen.add(cp)
 
     def test_max_values(self):
-        assert max_letter_value(Alphabet.ARABIC) == 1000
-        assert max_letter_value(Alphabet.HEBREW) == 400
+        assert letters(Alphabet.ARABIC)[-1].value == 1000
+        assert letters(Alphabet.HEBREW)[-1].value == 400
 
     def test_spot_rows(self):
         assert letter_by_value(Alphabet.ARABIC, 40).name == "Mim"

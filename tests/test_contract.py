@@ -79,7 +79,6 @@ _JUNK = _mix(_SCALARS, _CONTAINERS, st.one_of(_READING, _GROUP, _COMPONENT))
 # past the first checks often enough to reach the later ones.
 _WELL_FORMED = {
     abjadnum.letters: (Alphabet.ARABIC,),
-    abjadnum.max_letter_value: (Alphabet.HEBREW,),
     abjadnum.letter_by_value: (Alphabet.HEBREW, 400),
     abjadnum.letter_for_codepoint: ("ب",),
     abjadnum.encode: (1245, Alphabet.ARABIC),
@@ -269,8 +268,6 @@ _FIVE = decompose(5).groups[0].components
          "alphabet must be an Alphabet, not DigitScript"),
         (lambda: abjadnum.letters(10**5000), ValueError,
          "alphabet must be an Alphabet, not int"),
-        (lambda: abjadnum.max_letter_value([A]), ValueError,
-         "alphabet must be an Alphabet, not list"),
         (lambda: abjadnum.letter_for_codepoint([1]), ValueError,
          "codepoint must be a str, not list"),
         (lambda: abjadnum.format_reading("١٢"), ValueError,
@@ -308,7 +305,7 @@ _FIVE = decompose(5).groups[0].components
     ],
     ids=["digit_provenance", "render_digits", "parse_digits", "transliterate-src",
          "transliterate-dst", "gematria-ignore", "letter_by_value-str",
-         "letter_by_value-DigitScript", "letters", "max_letter_value", "letter_for_codepoint",
+         "letter_by_value-DigitScript", "letters", "letter_for_codepoint",
          "format_reading", "format_reading-labels",
          "format_reading-bytes-labels", "format_reading-int-labels",
          "format_reading-huge-labels", "letter_by_value-huge-list", "format_reading-str-labels",
@@ -340,7 +337,7 @@ def test_every_enum_parameter_is_found():
     found = sorted(f"{fn.__name__}.{name}" for fn, _, name, _ in _ENUM_PARAMETERS)
     assert found == [
         "decode.alphabet", "digit_provenance.script", "encode.alphabet", "gematria.alphabet",
-        "letter_by_value.alphabet", "letters.alphabet", "max_letter_value.alphabet",
+        "letter_by_value.alphabet", "letters.alphabet",
         "parse_digits.script", "render_digits.script", "transliterate.dst",
         "transliterate.src",
     ]

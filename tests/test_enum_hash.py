@@ -23,7 +23,6 @@ from abjadnum import (
     gematria,
     letter_by_value,
     letters,
-    max_letter_value,
     parse_digits,
     render_digits,
     transliterate,
@@ -96,7 +95,6 @@ def test_every_copy_is_the_member_and_finds_its_entries(member):
 
 _ALPHABET_CALLS = [
     lambda a: letters(a),
-    lambda a: max_letter_value(a),
     lambda a: letter_by_value(a, 400),
     lambda a: encode(345, a),
     lambda a: decode("همرغ" if a is Alphabet.ARABIC else "הלש", a, True),
@@ -148,7 +146,6 @@ def test_a_copy_of_the_other_enum_is_still_the_wrong_type(member):
         if isinstance(member, Alphabet)
         else [
             ("alphabet", lambda v: letters(v)),
-            ("alphabet", lambda v: max_letter_value(v)),
             ("alphabet", lambda v: letter_by_value(v, 5)),
             ("alphabet", lambda v: encode(5, v)),
             ("alphabet", lambda v: decode("ب", v)),

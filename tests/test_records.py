@@ -1,12 +1,12 @@
-"""The result records: a cheap import path and the contract callers rely on.
+"""The result records: the contract callers rely on.
 
-That no call loads ``dataclasses`` or ``inspect`` either is checked with
-the other start-up checks, in ``tests/test_startup.py``.
+That neither importing ``abjadnum.cli`` nor any call loads ``dataclasses`` or
+``inspect`` is checked with the other start-up checks, in
+``tests/test_startup.py``: the import by
+``test_import_loads_neither_json_nor_unicodedata_nor_the_provenance_table``.
 """
 
 import pickle
-import subprocess
-import sys
 
 import pytest
 
@@ -19,17 +19,6 @@ from abjadnum import (
     gematria,
     letter_by_value,
 )
-
-
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # A fresh interpreter, because this one has long since imported both.
-    code = (
-        "import sys; before = set(sys.modules); import abjadnum.cli; "
-        "print(' '.join(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))))"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout.decode().strip() == ""
 
 
 RECORDS = {
