@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-import types
 from enum import Enum
 
 import pytest
@@ -22,7 +21,8 @@ from abjadnum import (
     format_reading,
     gematria,
 )
-from abjadnum.cli import _json, _parse_exact, build_parser, main
+from abjadnum.cli import _json, _parse_exact, build_parser
+from support import run_cli
 
 # Each subcommand and the options it requires.
 REQUIRED = {
@@ -37,106 +37,87 @@ REQUIRED = {
 COMMANDS = list(REQUIRED)
 
 
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 class TestHappyPaths:
-    def test_encode(self, capsys):
-        code, out, err = run_cli(capsys, "encode", "--alphabet", "arabic", "1245")
+    def test_encode(self):
+        code, out, err = run_cli(["encode", "--alphabet", "arabic", "1245"])
         assert (code, err) == (0, "")
         assert out == "همرغ\n"
 
-    def test_encode_matches_library_byte_for_byte(self, capsys):
+    def test_encode_matches_library_byte_for_byte(self):
         for n in (1, 200, 1245, 1999):
-            code, out, _ = run_cli(capsys, "encode", "--alphabet", "arabic", str(n))
+            code, out, _ = run_cli(["encode", "--alphabet", "arabic", str(n)])
             assert code == 0
             assert out.encode() == (encode(n, Alphabet.ARABIC).text + "\n").encode()
 
-    def test_decode(self, capsys):
-        code, out, _ = run_cli(capsys, "decode", "--alphabet", "arabic", "همرغ")
+    def test_decode(self):
+        code, out, _ = run_cli(["decode", "--alphabet", "arabic", "همرغ"])
         assert (code, out) == (0, "1245\n")
 
-    def test_decode_strict(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "decode", "--alphabet", "arabic", "--strict", "ر"
-        )
+    def test_decode_strict(self):
+        code, out, _ = run_cli(["decode", "--alphabet", "arabic", "--strict", "ر"])
         assert (code, out) == (0, "200\n")
 
-    def test_gematria(self, capsys):
-        code, out, _ = run_cli(capsys, "gematria", "--alphabet", "arabic", "احمد زينب")
+    def test_gematria(self):
+        code, out, _ = run_cli(["gematria", "--alphabet", "arabic", "احمد زينب"])
         assert (code, out) == (0, "122\n")
         assert out.strip() == str(gematria("احمد زينب", Alphabet.ARABIC).total)
 
-    def test_translit(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "translit", "--from", "western", "--to", "mashreki", "1225"
-        )
+    def test_translit(self):
+        code, out, _ = run_cli(["translit", "--from", "western", "--to", "mashreki", "1225"])
         assert (code, out) == (0, "١٢٢٥\n")
 
-    def test_read_ltr(self, capsys):
-        code, out, _ = run_cli(capsys, "read", "--direction", "ltr", "12457892")
+    def test_read_ltr(self):
+        code, out, _ = run_cli(["read", "--direction", "ltr", "12457892"])
         assert (code, out) == (0, "12 millions 457 mille 892\n")
 
-    def test_read_rtl_default(self, capsys):
-        code, out, _ = run_cli(capsys, "read", "12457892")
+    def test_read_rtl_default(self):
+        code, out, _ = run_cli(["read", "12457892"])
         assert code == 0
         assert out.strip() == format_reading(decompose(12457892), "rtl")
 
-    def test_read_figure_exact(self, capsys):
-        code, out, _ = run_cli(capsys, "read", "--figure-exact", "12457892")
+    def test_read_figure_exact(self):
+        code, out, _ = run_cli(["read", "--figure-exact", "12457892"])
         assert code == 0
         assert out == "2 et 90 et 800 et 7 et 50 et 400 mille et 2 et 10 millions\n"
 
-    def test_read_custom_labels(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "read", "--direction", "ltr", "--labels", ",thousand", "2500"
-        )
+    def test_read_custom_labels(self):
+        code, out, _ = run_cli(["read", "--direction", "ltr", "--labels", ",thousand", "2500"])
         assert (code, out) == (0, "2 thousand 500\n")
 
-    def test_provenance(self, capsys):
-        code, out, _ = run_cli(capsys, "provenance", "--script", "western", "0")
+    def test_provenance(self):
+        code, out, _ = run_cli(["provenance", "--script", "western", "0"])
         assert code == 0
         assert out.startswith("arabic Sad ص:")
         assert "Sifr" in out
 
-    def test_hijri(self, capsys):
-        code, out, _ = run_cli(capsys, "hijri", "1225")
+    def test_hijri(self):
+        code, out, _ = run_cli(["hijri", "1225"])
         assert (code, out) == (0, "1810\n")
 
-    def test_hijri_reverse(self, capsys):
-        code, out, _ = run_cli(capsys, "hijri", "--reverse", "1810")
+    def test_hijri_reverse(self):
+        code, out, _ = run_cli(["hijri", "--reverse", "1810"])
         assert (code, out) == (0, "1225\n")
 
-    def test_hijri_400_digit_year_both_directions(self, capsys):
+    def test_hijri_400_digit_year_both_directions(self):
         # Past the stated limits both directions refuse, naming the last year.
         year = "9" * 400
-        code, out, err = run_cli(capsys, "hijri", year)
+        code, out, err = run_cli(["hijri", year])
         assert (code, out, err) == (
             1, "", f"ERROR OutOfRange: {year} AH is past the last year converted (455637 AH)\n"
         )
-        code, out, err = run_cli(capsys, "hijri", "--reverse", year)
+        code, out, err = run_cli(["hijri", "--reverse", year])
         assert (code, out, err) == (
             1, "", f"ERROR OutOfRange: {year} CE is past the last year converted (456833 CE)\n"
         )
 
 
 class TestStdin:
-    def _feed(self, monkeypatch, text):
-        monkeypatch.setattr(
-            sys, "stdin", types.SimpleNamespace(buffer=io.BytesIO(text.encode()))
-        )
-
-    def test_decode_from_stdin(self, capsys, monkeypatch):
-        self._feed(monkeypatch, "همرغ\n")
-        code, out, _ = run_cli(capsys, "decode", "--alphabet", "arabic")
+    def test_decode_from_stdin(self):
+        code, out, _ = run_cli(["decode", "--alphabet", "arabic"], "همرغ\n")
         assert (code, out) == (0, "1245\n")
 
-    def test_encode_from_stdin(self, capsys, monkeypatch):
-        self._feed(monkeypatch, "200\n")
-        code, out, _ = run_cli(capsys, "encode", "--alphabet", "arabic")
+    def test_encode_from_stdin(self):
+        code, out, _ = run_cli(["encode", "--alphabet", "arabic"], "200\n")
         assert (code, out) == (0, "ر\n")
 
     @pytest.mark.parametrize(
@@ -154,23 +135,18 @@ class TestStdin:
         ids=["hijri-crlf", "hijri-tabs", "decode-strict-crlf", "translit-date-crlf",
              "read-five-labels-tabs"],
     )
-    def test_carriage_returns_and_tabs_around_the_input_are_stripped(
-        self, capsys, monkeypatch, argv, text, printed
-    ):
-        self._feed(monkeypatch, text)
-        code, out, _ = run_cli(capsys, *argv)
+    def test_carriage_returns_and_tabs_around_the_input_are_stripped(self, argv, text, printed):
+        code, out, _ = run_cli(argv, text)
         assert (code, out) == (0, printed + "\n")
 
-    def test_a_closed_stdin_is_a_usage_error_only_when_it_is_read(self, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "stdin", None)
-        assert run_cli(capsys, "hijri", "1225") == (0, "1810\n", "")
-        assert run_cli(capsys, "decode", "--alphabet", "arabic") == (
+    def test_a_closed_stdin_is_a_usage_error_only_when_it_is_read(self):
+        assert run_cli(["hijri", "1225"], None) == (0, "1810\n", "")
+        assert run_cli(["decode", "--alphabet", "arabic"], None) == (
             2, "", "usage error: no value given and stdin is closed\n"
         )
 
-    def test_stdin_that_is_not_utf8_is_a_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "stdin", types.SimpleNamespace(buffer=io.BytesIO(b"\xff\n")))
-        code, out, err = run_cli(capsys, "hijri")
+    def test_stdin_that_is_not_utf8_is_a_usage_error(self):
+        code, out, err = run_cli(["hijri"], b"\xff\n")
         assert (code, out) == (2, "")
         assert err.startswith("usage error: 'utf-8' codec can't decode byte 0xff")
 
@@ -205,8 +181,8 @@ def test_a_closed_stdout_exits_1_and_prints_nothing(argv):
 
 
 class TestJson:
-    def test_encode_payload(self, capsys):
-        code, out, _ = run_cli(capsys, "encode", "--alphabet", "arabic", "--json", "1245")
+    def test_encode_payload(self):
+        code, out, _ = run_cli(["encode", "--alphabet", "arabic", "--json", "1245"])
         assert code == 0
         payload = json.loads(out)
         assert payload["text"] == "همرغ"
@@ -214,10 +190,8 @@ class TestJson:
         assert [l["value"] for l in payload["letters"]] == [5, 40, 200, 1000]
         assert payload["letters"][0]["name"] == "Haa"
 
-    def test_gematria_payload(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "gematria", "--alphabet", "arabic", "--json", "احمد زينب"
-        )
+    def test_gematria_payload(self):
+        code, out, _ = run_cli(["gematria", "--alphabet", "arabic", "--json", "احمد زينب"])
         payload = json.loads(out)
         assert payload["total"] == 122
         assert payload["per_word"] == [
@@ -225,18 +199,16 @@ class TestJson:
             {"word": "زينب", "value": 69},
         ]
 
-    def test_read_payload_mirrors_the_groups(self, capsys):
-        code, out, _ = run_cli(capsys, "read", "--json", "1000")
+    def test_read_payload_mirrors_the_groups(self):
+        code, out, _ = run_cli(["read", "--json", "1000"])
         payload = json.loads(out)
         assert payload["groups"] == [
             {"index": 0, "value": 0, "components": []},
             {"index": 1, "value": 1, "components": [{"rank": "units", "value": 1}]},
         ]
 
-    def test_provenance_payload(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "provenance", "--script", "mashreki", "--json", "6"
-        )
+    def test_provenance_payload(self):
+        code, out, _ = run_cli(["provenance", "--script", "mashreki", "--json", "6"])
         payload = json.loads(out)
         assert payload["alphabet"] == "hebrew"
         assert payload["letter"]["name"] == "Vav"
@@ -317,8 +289,8 @@ class TestDomainErrors:
     ]
 
     @pytest.mark.parametrize("argv,code_name", CASES)
-    def test_exit_1_with_machine_readable_message(self, capsys, argv, code_name):
-        code, out, err = run_cli(capsys, *argv)
+    def test_exit_1_with_machine_readable_message(self, argv, code_name):
+        code, out, err = run_cli(argv)
         assert code == 1
         assert out == ""
         assert err.startswith(f"ERROR {code_name}: ")
@@ -326,53 +298,44 @@ class TestDomainErrors:
 
 
 class TestUsageErrors:
-    def test_unknown_command(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
-        assert exc.value.code == 2
+    def test_unknown_command(self):
+        assert run_cli(["frobnicate"])[0] == 2
 
-    def test_missing_required_flag(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["encode", "1245"])
-        assert exc.value.code == 2
+    def test_missing_required_flag(self):
+        assert run_cli(["encode", "1245"])[0] == 2
 
-    def test_bad_flag_value(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["encode", "--alphabet", "greek", "7"])
-        assert exc.value.code == 2
+    def test_bad_flag_value(self):
+        assert run_cli(["encode", "--alphabet", "greek", "7"])[0] == 2
 
-    def test_non_integer_input(self, capsys):
+    def test_non_integer_input(self):
         # A number is read by parse_digits: a non-digit is a domain error.
-        code, out, err = run_cli(capsys, "encode", "--alphabet", "arabic", "abc")
+        code, out, err = run_cli(["encode", "--alphabet", "arabic", "abc"])
         assert (code, out, err) == (1, "", "ERROR InvalidGlyph: 'a' is not a western digit\n")
 
-    def test_a_year_at_the_digit_limit_is_refused_naming_the_last_year(self, capsys):
+    def test_a_year_at_the_digit_limit_is_refused_naming_the_last_year(self):
         # No result can pass the digit limit: a year that long is refused.
         year = "9" * sys.get_int_max_str_digits()
-        code, out, err = run_cli(capsys, "hijri", "--reverse", year)
+        code, out, err = run_cli(["hijri", "--reverse", year])
         assert (code, out) == (1, "")
         assert err == (
             f"ERROR OutOfRange: {year} CE is past the last year converted (456833 CE)\n"
         )
 
-    def test_rejected_argument_is_echoed_in_short(self, capsys):
+    def test_rejected_argument_is_echoed_in_short(self):
         year = "9" * (sys.get_int_max_str_digits() + 1)
-        code, out, err = run_cli(capsys, "hijri", "--reverse", year)
+        code, out, err = run_cli(["hijri", "--reverse", year])
         assert (code, out) == (2, "")
         assert err == (
             f"usage error: the digit string has more than {sys.get_int_max_str_digits()} "
             "decimal digits, the most that can be read\n"
         )
-        code, out, err = run_cli(capsys, "hijri", "--reverse", year + "x")
+        code, out, err = run_cli(["hijri", "--reverse", year + "x"])
         assert (code, out, err) == (1, "", "ERROR InvalidGlyph: 'x' is not a western digit\n")
-        code, _, err = run_cli(capsys, "read", "12x")
+        code, _, err = run_cli(["read", "12x"])
         assert (code, err) == (1, "ERROR InvalidGlyph: 'x' is not a western digit\n")
 
-    def test_empty_decode_input(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            sys, "stdin", types.SimpleNamespace(buffer=io.BytesIO(b"  \n"))
-        )
-        assert main(["decode", "--alphabet", "arabic"]) == 2
+    def test_empty_decode_input(self):
+        assert run_cli(["decode", "--alphabet", "arabic"], "  \n")[0] == 2
 
 
 def _exit(parser, argv, capsys):

@@ -11,33 +11,19 @@ whatever the width and the interpreter.
 stands, keeping each row's argv and stdin.
 """
 
-import contextlib
-import io
 import json
 import sys
-import types
 from pathlib import Path
 
-from abjadnum.cli import main
+from support import run_cli
 
 TRANSCRIPT = Path(__file__).parent / "data" / "cli_transcript.json"
 
 
 def run(argv: list[str], stdin: str) -> dict:
     """The row of one ``main(argv)`` call reading `stdin`."""
-    out, err = io.StringIO(), io.StringIO()
-    saved = sys.stdin
-    sys.stdin = types.SimpleNamespace(buffer=io.BytesIO(stdin.encode("utf-8")))
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exit_:
-                code = exit_.code
-    finally:
-        sys.stdin = saved
-    return {"argv": argv, "stdin": stdin, "code": code,
-            "stdout": out.getvalue(), "stderr": err.getvalue()}
+    code, stdout, stderr = run_cli(argv, stdin)
+    return {"argv": argv, "stdin": stdin, "code": code, "stdout": stdout, "stderr": stderr}
 
 
 def _rows() -> list[dict]:

@@ -9,12 +9,8 @@ once each, and pins what encode() must return.
 
 import copy
 import itertools
-import os
 import pickle
 import random
-import subprocess
-import sys
-import threading
 import unicodedata
 
 import pytest
@@ -37,6 +33,7 @@ from abjadnum import (
     letters,
 )
 from abjadnum import codec
+from support import fresh, outcome, race
 
 
 _RANK_BANDS = ((1, 9), (10, 90), (100, 900), (1000, 1000))
@@ -175,64 +172,35 @@ print(len(codec._TEXTS), wrong)
 # a text kept for a record that lost setdefault would name a freed tuple.
 # Each round starts from empty tables, the texts emptied with them.
 _COLD_THREADS = """
-import random, sys, threading
+import random
 from abjadnum import codec, encode
+from support import race
 calls = [(n, a) for a, limit in codec.MAX_ENCODABLE.items() for n in range(1, limit + 1)]
 random.Random(1).shuffle(calls)
 
-def race():
-    start = threading.Barrier(8)
+for _ in range(4):
+    for table in codec._NUMERALS.values():
+        table.clear()
+    codec._TEXTS.clear()
     got = []
-
-    def work():
-        start.wait()
-        got.append({call: encode(*call) for call in calls})
-
-    threads = [threading.Thread(target=work) for _ in range(8)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=60)
-    assert not any(thread.is_alive() for thread in threads)
-    return got
-
-previous = sys.getswitchinterval()
-sys.setswitchinterval(1e-6)
-try:
-    for _ in range(4):
-        for table in codec._NUMERALS.values():
-            table.clear()
-        codec._TEXTS.clear()
-        got = race()
-        stored = {(n, a): numeral for a, table in codec._NUMERALS.items()
-                  for n, numeral in table.items()}
-        assert len(got) == 8 and len(stored) == len(calls)
-        assert all(numerals[call] is stored[call] for numerals in got for call in calls)
-        assert set(codec._TEXTS) == {id(numeral.letters) for numeral in stored.values()}
-        assert all(numeral.text == "".join([x.codepoint for x in numeral.letters])
-                   for numeral in stored.values())
-finally:
-    sys.setswitchinterval(previous)
+    assert race(lambda: got.append({call: encode(*call) for call in calls}), [()] * 8) == ([], 0)
+    stored = {(n, a): numeral for a, table in codec._NUMERALS.items()
+              for n, numeral in table.items()}
+    assert len(got) == 8 and len(stored) == len(calls)
+    assert all(numerals[call] is stored[call] for numerals in got for call in calls)
+    assert set(codec._TEXTS) == {id(numeral.letters) for numeral in stored.values()}
+    assert all(numeral.text == "".join([x.codepoint for x in numeral.letters])
+               for numeral in stored.values())
 print("ok")
 """
 
 
-def _fresh(code: str) -> str:
-    """stdout of `code` in a fresh interpreter that imports this abjadnum."""
-    package_root = os.path.dirname(os.path.dirname(codec.__file__))
-    env = {**os.environ, "PYTHONPATH": package_root}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          encoding="utf-8", env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
 class TestSharedNumerals:
     def test_every_first_text_is_its_letters_joined(self):
-        assert _fresh(_COLD_TEXTS) == f"{sum(MAX_ENCODABLE.values())} []\n"
+        assert fresh(_COLD_TEXTS) == f"{sum(MAX_ENCODABLE.values())} []\n"
 
     def test_threads_that_miss_together_share_one_record(self):
-        assert _fresh(_COLD_THREADS) == "ok\n"
+        assert fresh(_COLD_THREADS) == "ok\n"
 
     @pytest.mark.parametrize("alphabet", list(Alphabet))
     def test_encode_hands_out_one_record_per_value(self, alphabet):
@@ -511,7 +479,7 @@ class TestWordMemo:
         phrases = ["\u0627\u0628! \u062c\u064e\u060c \u1ab1\u062f", "\u0627 \u0627\u0627! \u1ab1"]
         for ignore in ("!\u060c", "\u0627!\u060c", "\u064e!\u060c", " !\u060c", "!\u060c\u0627\u064e \u1ab1"):
             for phrase in phrases:
-                assert _outcome(gematria, phrase, Alphabet.ARABIC, ignore) == _outcome(
+                assert outcome(gematria, phrase, Alphabet.ARABIC, ignore) == outcome(
                     _reference_gematria, phrase, Alphabet.ARABIC, ignore
                 )
         assert not words
@@ -604,13 +572,6 @@ def _reference_decode(word, alphabet, strict):
     return sum(values)
 
 
-def _outcome(fn, *args):
-    try:
-        return "value", fn(*args)
-    except ValueError as err:
-        return type(err), str(err)
-
-
 @pytest.mark.parametrize("alphabet, count", [(Alphabet.ARABIC, 22764), (Alphabet.HEBREW, 11154)])
 def test_every_word_of_up_to_three_letters_matches_the_band_rule(alphabet, count):
     # Every sequence of 1-3 letter values, each in its primary codepoint:
@@ -621,7 +582,7 @@ def test_every_word_of_up_to_three_letters_matches_the_band_rule(alphabet, count
     assert len(words) == count
     for word in words:
         for strict in (False, True):
-            assert _outcome(decode, word, alphabet, strict) == _outcome(
+            assert outcome(decode, word, alphabet, strict) == outcome(
                 _reference_decode, word, alphabet, strict
             )
 
@@ -644,7 +605,7 @@ def test_every_four_letter_word_of_the_edge_values_matches_the_band_rule(alphabe
     assert len(primary) == len(values) and len(words) == count
     for word in words:
         for strict in (False, True):
-            assert _outcome(decode, word, alphabet, strict) == _outcome(
+            assert outcome(decode, word, alphabet, strict) == outcome(
                 _reference_decode, word, alphabet, strict
             )
 
@@ -672,14 +633,14 @@ _ignore_sets = st.text(
 @settings(max_examples=400)
 @given(_codec_text, st.sampled_from(list(Alphabet)), _ignore_sets)
 def test_codec_matches_the_per_character_rule(text, alphabet, ignore):
-    expected = _outcome(_reference_gematria, text, alphabet, ignore)
+    expected = outcome(_reference_gematria, text, alphabet, ignore)
     # The first call misses the word memo, the second hits it.
     codec._WORDS[alphabet].clear()
     codec._IGNORING[alphabet].clear()
     for _ in range(2):
-        assert _outcome(gematria, text, alphabet, ignore) == expected
+        assert outcome(gematria, text, alphabet, ignore) == expected
     for strict in (False, True):
-        assert _outcome(decode, text, alphabet, strict) == _outcome(
+        assert outcome(decode, text, alphabet, strict) == outcome(
             _reference_decode, text, alphabet, strict
         )
 
@@ -695,7 +656,7 @@ _recurring_ignore_sets = st.one_of(
 @given(st.lists(st.tuples(_codec_text, st.sampled_from(list(Alphabet)), _recurring_ignore_sets), max_size=8))
 def test_a_sequence_of_calls_matches_the_per_character_rule(calls):
     for text, alphabet, ignore in calls:
-        assert _outcome(gematria, text, alphabet, ignore) == _outcome(
+        assert outcome(gematria, text, alphabet, ignore) == outcome(
             _reference_gematria, text, alphabet, ignore
         )
 
@@ -744,31 +705,20 @@ def test_threads_with_their_own_ignore_sets_share_one_alphabet():
     ]
     phrases += ["ا ب", "ا! ب? ا. ب،"]
     expected = {
-        (phrase, ignore): _outcome(_reference_gematria, phrase, Alphabet.ARABIC, ignore)
+        (phrase, ignore): outcome(_reference_gematria, phrase, Alphabet.ARABIC, ignore)
         for phrase in phrases
         for ignore in sets
     }
-    barrier = threading.Barrier(len(sets))
     wrong = []
 
     def work(ignore):
-        for _ in range(50):  # each round starts all threads at once
-            barrier.wait()
-            for phrase in phrases:
-                got = _outcome(gematria, phrase, Alphabet.ARABIC, ignore)
-                if got != expected[phrase, ignore]:
-                    wrong.append((phrase, ignore, got))
+        for phrase in phrases:
+            got = outcome(gematria, phrase, Alphabet.ARABIC, ignore)
+            if got != expected[phrase, ignore]:
+                wrong.append((phrase, ignore, got))
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(ignore,)) for ignore in sets]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-    finally:
-        sys.setswitchinterval(interval)
+    for _ in range(50):  # each round starts all threads at once
+        assert race(work, [(ignore,) for ignore in sets]) == ([], 0)
     assert not wrong
     assert codec._IGNORING[Alphabet.ARABIC].ignore in sets
 
@@ -802,7 +752,7 @@ def _reference_encode(n, alphabet):
     st.sampled_from(list(Alphabet)),
 )
 def test_encode_matches_the_rank_loop(n, alphabet):
-    got, expected = _outcome(encode, n, alphabet), _outcome(_reference_encode, n, alphabet)
+    got, expected = outcome(encode, n, alphabet), outcome(_reference_encode, n, alphabet)
     assert got == expected
     if got[0] == "value":
         assert type(got[1]) is AbjadNumeral

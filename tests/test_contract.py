@@ -6,11 +6,8 @@ is given.  The CLI exits 0, 1 or 2 for any argv and stdin and never lets an
 exception out; a number argument it accepts is plain ASCII digits.
 """
 
-import contextlib
 import inspect
-import io
 import sys
-import types
 from operator import attrgetter
 
 import pytest
@@ -19,7 +16,7 @@ from hypothesis import strategies as st
 
 import abjadnum
 from abjadnum import Alphabet, DigitScript, Group, NumberReading, RankComponent, decompose
-from abjadnum.cli import main
+from support import run_cli
 
 _ENUMS = [*Alphabet, *DigitScript]
 
@@ -214,26 +211,11 @@ def _argvs(draw):
     return argv, value, value.strip()
 
 
-def _main(argv, stdin):
-    out, err = io.StringIO(), io.StringIO()
-    saved = sys.stdin
-    sys.stdin = types.SimpleNamespace(buffer=io.BytesIO(stdin.encode("utf-8")))
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exit_:  # argparse's usage errors
-                code = exit_.code
-    finally:
-        sys.stdin = saved
-    return code, out.getvalue(), err.getvalue()
-
-
 @settings(max_examples=500, deadline=None)
 @given(_argvs())
 def test_cli_exits_0_1_or_2_and_reads_numbers_strictly(drawn):
     argv, stdin, value = drawn
-    code, out, err = _main(argv, stdin)
+    code, out, err = run_cli(argv, stdin)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code == 0 and argv[0] in _NUMBER_COMMANDS:

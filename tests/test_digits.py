@@ -17,6 +17,7 @@ from abjadnum import (
     render_digits,
     transliterate,
 )
+from support import outcome
 
 W = DigitScript.WESTERN
 M = DigitScript.MASHREKI_EASTERN
@@ -273,13 +274,6 @@ def _reference_transliterate(text, src, dst):
     return "".join(out)
 
 
-def _outcome(fn, *args):
-    try:
-        return "value", fn(*args)
-    except ValueError as err:
-        return type(err), str(err)
-
-
 # Glyphs of all three scripts, the separators, and characters int() would
 # accept around or inside digits: "_", "+", whitespace, Extended Arabic-Indic one.
 _SOUP = sorted(set("".join(_REF_GLYPHS.values()) + SEPARATORS + "_+ \t\n\u06f1"))
@@ -300,14 +294,14 @@ def _texts(script, extra=""):
     _scripts,
 )
 def test_render_matches_the_digit_loop(n, script):
-    assert _outcome(render_digits, n, script) == _outcome(_reference_render, n, script)
+    assert outcome(render_digits, n, script) == outcome(_reference_render, n, script)
 
 
 @settings(max_examples=300)
 @given(_scripts.flatmap(lambda script: st.tuples(st.just(script), _texts(script))))
 def test_parse_matches_the_digit_loop(drawn):
     script, text = drawn
-    assert _outcome(parse_digits, text, script) == _outcome(_reference_parse, text, script)
+    assert outcome(parse_digits, text, script) == outcome(_reference_parse, text, script)
 
 
 @settings(max_examples=300)
@@ -316,7 +310,7 @@ def test_parse_matches_the_digit_loop(drawn):
 )
 def test_transliterate_matches_the_digit_loop(drawn, dst):
     src, text = drawn
-    assert _outcome(transliterate, text, src, dst) == _outcome(
+    assert outcome(transliterate, text, src, dst) == outcome(
         _reference_transliterate, text, src, dst
     )
 
@@ -364,14 +358,14 @@ def _mixed_texts(script):
 @given(_scripts.flatmap(lambda script: st.tuples(st.just(script), _mixed_texts(script))))
 def test_parse_matches_the_deleting_check(drawn):
     script, text = drawn
-    assert _outcome(parse_digits, text, script) == _outcome(_deleting_parse, text, script)
+    assert outcome(parse_digits, text, script) == outcome(_deleting_parse, text, script)
 
 
 @settings(max_examples=400)
 @given(_scripts.flatmap(lambda src: st.tuples(st.just(src), _mixed_texts(src))), _scripts)
 def test_transliterate_matches_the_deleting_check(drawn, dst):
     src, text = drawn
-    assert _outcome(transliterate, text, src, dst) == _outcome(
+    assert outcome(transliterate, text, src, dst) == outcome(
         _deleting_transliterate, text, src, dst
     )
 

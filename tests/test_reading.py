@@ -1,6 +1,4 @@
 import random
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +14,7 @@ from abjadnum import (
     format_reading,
 )
 from abjadnum import reading as reading_module
+from support import fresh, outcome
 
 
 def flat_components(reading):
@@ -210,13 +209,6 @@ def _reference_format(reading, direction, labels, figure_exact):
     return " ".join(parts) if parts else "0"
 
 
-def _outcome(fn, *args):
-    try:
-        return "value", fn(*args)
-    except ValueError as err:
-        return type(err), str(err)
-
-
 def _record_types(reading):
     return [type(reading)] + [
         (type(g), [type(c) for c in g.components]) for g in reading.groups
@@ -234,13 +226,13 @@ _LONG_LABELS = tuple(f"L{i}" for i in range(20))
     st.sampled_from([DEFAULT_LABELS, _LONG_LABELS]),
 )
 def test_reading_matches_the_rank_loop(n, mode, labels):
-    got, expected = _outcome(decompose, n), _outcome(_reference_decompose, n)
+    got, expected = outcome(decompose, n), outcome(_reference_decompose, n)
     assert got == expected
     if got[0] != "value":
         return
     assert _record_types(got[1]) == _record_types(expected[1])
     direction, figure_exact = mode
-    assert _outcome(format_reading, got[1], direction, labels, figure_exact) == _outcome(
+    assert outcome(format_reading, got[1], direction, labels, figure_exact) == outcome(
         _reference_format, expected[1], direction, labels, figure_exact
     )
 
@@ -262,9 +254,7 @@ def test_nothing_is_built_at_import():
         "import abjadnum; from abjadnum import reading; "
         "print(len(reading._COMPONENTS), len(reading._SPOKEN))"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout.decode().split() == ["0", "0"]
+    assert fresh(code).split() == ["0", "0"]
 
 
 # -- the per-index tables of shared Group records ------------------------------
@@ -283,9 +273,7 @@ def test_no_group_record_is_built_at_import():
         "import abjadnum; from abjadnum import reading; "
         "print(*map(len, reading._GROUPS))"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout.decode().split() == ["0"] * len(DEFAULT_LABELS)
+    assert fresh(code).split() == ["0"] * len(DEFAULT_LABELS)
 
 
 def test_a_second_reading_hands_out_the_same_group_records():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import abjadnum
-from abjadnum import cli
+from support import run_cli
 
 README = Path(__file__).parent.parent / "README.md"
 TEXT = README.read_text(encoding="utf-8")
@@ -31,9 +31,10 @@ def test_the_readme_has_cli_examples():
 
 
 @pytest.mark.parametrize("command, output", CLI_EXAMPLES, ids=[c for c, _ in CLI_EXAMPLES])
-def test_readme_cli_examples_print_their_comments(capsys, command, output):
-    assert cli.main(shlex.split(command)[1:]) == 0, command
-    first = capsys.readouterr().out.split("\n")[0]
+def test_readme_cli_examples_print_their_comments(command, output):
+    code, out, _ = run_cli(shlex.split(command)[1:])
+    assert code == 0, command
+    first = out.split("\n")[0]
     if output.endswith("..."):
         output = output[:-3].rstrip()
         first = first[:len(output)]

@@ -17,12 +17,12 @@ from abjadnum import (
     digit_provenance,
     encode,
     gematria,
-    letter_by_value,
+    letters,
 )
 
 
 RECORDS = {
-    "Letter": lambda: letter_by_value(Alphabet.ARABIC, 40),
+    "Letter": lambda: letters(Alphabet.ARABIC)[12],  # Mim, 40
     "AbjadNumeral": lambda: encode(1245, Alphabet.ARABIC),
     "GematriaResult": lambda: gematria("احمد زينب", Alphabet.ARABIC),
     "DigitProvenance": lambda: digit_provenance(6, DigitScript.MASHREKI_EASTERN),

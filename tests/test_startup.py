@@ -17,14 +17,8 @@ test is what starts, and compares ``sys.modules`` before and after, so a
 """
 
 import ast
-import os
-import subprocess
-import sys
-from pathlib import Path
 
-import abjadnum
-
-PACKAGE_ROOT = Path(abjadnum.__file__).parent.parent
+from support import fresh
 
 DEFERRED = {"json", "unicodedata"}
 NEVER_LOADED = {"dataclasses", "inspect"}
@@ -85,21 +79,11 @@ print(repr(dict(
 """
 
 
-def _fresh(code: str, **names) -> str:
-    """stdout of `code` in a fresh interpreter, `names` bound as literals."""
-    prelude = "".join(f"{name} = {value!r}\n" for name, value in names.items())
-    env = {**os.environ, "PYTHONPATH": str(PACKAGE_ROOT)}
-    proc = subprocess.run([sys.executable, "-c", prelude + code], capture_output=True,
-                          env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
-    return proc.stdout.decode("utf-8")
-
-
 def _first_call(call: str, warm_up=()) -> dict:
     """What one fresh process saw: `call` run right after import and `warm_up`."""
     return ast.literal_eval(
-        _fresh(_SCRIPT, CALL=call, WARM_UP=list(warm_up), DEFERRED=DEFERRED,
-               NEVER_LOADED=NEVER_LOADED)
+        fresh(_SCRIPT, CALL=call, WARM_UP=list(warm_up), DEFERRED=DEFERRED,
+              NEVER_LOADED=NEVER_LOADED)
     )
 
 
@@ -159,38 +143,26 @@ def test_the_not_a_script_message_is_the_lookup_message():
 
 
 _CONCURRENT = """\
-import sys, threading
 from abjadnum import Alphabet, DigitScript, decode, digit_provenance, digits
+from support import race
 
 THREADS, ROUNDS = 8, 200
 WORDS = "بِسْمِ اللّٰهِ".split()
 PAIRS = [(script, digit) for script in DigitScript for digit in range(10)]
-barrier = threading.Barrier(THREADS, timeout=60)
 results, errors, stuck = [], [], 0
 
 def first_use():
-    barrier.wait()
-    try:
-        results.append(([digit_provenance(d, s) for s, d in PAIRS],
-                        [decode(word, Alphabet.ARABIC) for word in WORDS]))
-    except Exception as err:
-        errors.append(repr(err))
+    results.append(([digit_provenance(d, s) for s, d in PAIRS],
+                    [decode(word, Alphabet.ARABIC) for word in WORDS]))
 
 # Round 0 is the first use of everything; each later round empties the
 # provenance table, so that its first use races again.
-sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
-try:
-    for round_ in range(ROUNDS):
-        if round_:
-            digits._PROVENANCE.clear()
-        threads = [threading.Thread(target=first_use) for _ in range(THREADS)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-            stuck += thread.is_alive()
-finally:
-    sys.setswitchinterval(0.005)
+for round_ in range(ROUNDS):
+    if round_:
+        digits._PROVENANCE.clear()
+    raised, alive = race(first_use, [()] * THREADS)
+    errors += raised
+    stuck += alive
 alone = ([digit_provenance(d, s) for s, d in PAIRS],
          [decode(word, Alphabet.ARABIC) for word in WORDS])
 print(repr(dict(
@@ -205,20 +177,20 @@ print(repr(dict(
 
 
 def test_a_concurrent_first_use_sees_whole_tables():
-    seen = ast.literal_eval(_fresh(_CONCURRENT))
+    seen = ast.literal_eval(fresh(_CONCURRENT))
     assert seen == dict(
         errors=[], stuck=0, calls=8 * 200, differing=0, pairs=30, words=[102, 66]
     )
 
 
 _GROUP_RACE = """\
-import random, sys, threading
+import random
 from abjadnum import Group, NumberReading, RankComponent, decompose, format_reading, reading
+from support import race
 
 THREADS, ROUNDS = 8, 50
 rng = random.Random(19)
 NUMBERS = [rng.randrange(10 ** rng.randint(1, 15)) for _ in range(200)] + [0, 10**12 + 5]
-barrier = threading.Barrier(THREADS, timeout=60)
 results, errors, stuck = [], [], 0
 
 def rank_loop(n):
@@ -236,44 +208,33 @@ def rank_loop(n):
             return NumberReading(n, tuple(groups))
 
 def first_use(order):
-    barrier.wait()
-    try:
-        results.append({n: decompose(n) for n in order})
-    except Exception as err:
-        errors.append(repr(err))
+    results.append({n: decompose(n) for n in order})
 
 EXPECTED = {n: rank_loop(n) for n in NUMBERS}
 calls = differing = unshared = 0
 # Each round empties every group table, so that its first use races again;
 # each thread reads the numbers in its own order, so they miss on different ones.
-sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
-try:
-    for _ in range(ROUNDS):
-        for table in reading._GROUPS:
-            table.clear()
-        results.clear()
-        threads = [threading.Thread(target=first_use, args=(NUMBERS[25 * i:] + NUMBERS[:25 * i],))
-                   for i in range(THREADS)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-            stuck += thread.is_alive()
-        calls += len(results)
-        for readings in results:
-            differing += readings != EXPECTED
-            differing += any(
-                format_reading(readings[n], "rtl", LABELS) != format_reading(EXPECTED[n], "rtl", LABELS)
-                for n in NUMBERS
-            )
-            # A record of a shared index is the one its table holds.
-            unshared += sum(
-                group is not table[group.value]
-                for got in readings.values()
-                for group, table in zip(got.groups, reading._GROUPS)
-            )
-finally:
-    sys.setswitchinterval(0.005)
+for _ in range(ROUNDS):
+    for table in reading._GROUPS:
+        table.clear()
+    results.clear()
+    raised, alive = race(first_use, [(NUMBERS[25 * i:] + NUMBERS[:25 * i],)
+                                     for i in range(THREADS)])
+    errors += raised
+    stuck += alive
+    calls += len(results)
+    for readings in results:
+        differing += readings != EXPECTED
+        differing += any(
+            format_reading(readings[n], "rtl", LABELS) != format_reading(EXPECTED[n], "rtl", LABELS)
+            for n in NUMBERS
+        )
+        # A record of a shared index is the one its table holds.
+        unshared += sum(
+            group is not table[group.value]
+            for got in readings.values()
+            for group, table in zip(got.groups, reading._GROUPS)
+        )
 print(repr(dict(
     errors=sorted(set(errors)),
     stuck=stuck,
@@ -287,7 +248,7 @@ print(repr(dict(
 
 
 def test_threads_racing_the_first_reading_share_whole_group_records():
-    seen = ast.literal_eval(_fresh(_GROUP_RACE, LABELS=tuple(f"L{i}" for i in range(6))))
+    seen = ast.literal_eval(fresh(_GROUP_RACE, LABELS=tuple(f"L{i}" for i in range(6))))
     assert seen.pop("largest") <= 1000, seen
     assert seen == dict(errors=[], stuck=0, calls=8 * 50, differing=0, unshared=0, tables=4)
 
@@ -344,7 +305,7 @@ print(repr(dict(bare=bare, loaded=loaded(), error=error)))
 
 
 def test_a_first_use_loads_only_the_modules_it_needs(statement):
-    seen = ast.literal_eval(_fresh(_LAZY, STATEMENT=statement))
+    seen = ast.literal_eval(fresh(_LAZY, STATEMENT=statement))
     modules, error = LAZY_LOADS[statement]
     assert seen == dict(bare=[], loaded=modules, error=error)
 
@@ -383,7 +344,7 @@ print(repr(dict(imported=sorted(imported), called=sorted(loaded() - imported), c
 
 def test_a_cli_call_loads_only_the_modules_of_its_subcommand(command):
     argv, printed, modules = CLI_LOADS[command]
-    seen = ast.literal_eval(_fresh(_CLI, ARGV=argv))
+    seen = ast.literal_eval(fresh(_CLI, ARGV=argv))
     assert seen == dict(imported=["alphabets", "cli", "errors"], called=modules, code=0,
                         printed=printed)
 
@@ -408,7 +369,7 @@ print(repr(dict(code=code, preloaded=sorted(PARSING & before),
 
 
 def test_a_well_formed_cli_call_loads_no_argparse(command):
-    seen = ast.literal_eval(_fresh(_NO_PARSER, ARGV=CLI_LOADS[command][0], PARSING=PARSING))
+    seen = ast.literal_eval(fresh(_NO_PARSER, ARGV=CLI_LOADS[command][0], PARSING=PARSING))
     assert (seen["code"], seen["called"]) == (0, []), seen
     # A parser build is what loads argparse, unless site already had.
     assert "argparse" in seen["built"] + seen["preloaded"], seen
@@ -442,56 +403,44 @@ print(repr(dict(
 
 
 def test_every_public_name_is_the_object_in_its_module():
-    seen = ast.literal_eval(_fresh(_NAMESPACE, MODULES=MODULES))
+    seen = ast.literal_eval(fresh(_NAMESPACE, MODULES=MODULES))
     assert seen == dict(public=PUBLIC, unlisted=[], unbound=[], star=sorted(PUBLIC),
                         homeless=[], differing=[], submodules=[True] * len(MODULES))
 
 
 _RACE = """\
-import importlib, sys, threading
+import importlib, sys
+from support import race
 
 THREADS, ROUNDS = 8, 50
-barrier = threading.Barrier(THREADS, timeout=60)
 
 def first_access(names, out):
-    barrier.wait()
-    try:
-        out.append([getattr(abjadnum, name) for name in names])
-    except Exception as err:
-        errors.append(repr(err))
+    out.append([getattr(abjadnum, name) for name in names])
 
 errors, stuck, differing, calls = [], 0, 0, 0
-sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
-try:
-    for _ in range(ROUNDS):
-        # Each round starts from a fresh package, so the first access races again.
-        for name in [name for name in sys.modules if name.split(".")[0] == "abjadnum"]:
-            del sys.modules[name]
-        import abjadnum
-        names = list(abjadnum.__all__) + MODULES
-        # Each thread asks in its own order, so they start on different modules.
-        orders = [names[5 * i:] + names[:5 * i] for i in range(THREADS)]
-        outs = [[] for _ in range(THREADS)]
-        threads = [threading.Thread(target=first_access, args=(order, out))
-                   for order, out in zip(orders, outs)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-            stuck += thread.is_alive()
-        alone = {name: getattr(abjadnum, name) for name in names}
-        for order, out in zip(orders, outs):
-            calls += len(out)
-            differing += sum(got is not alone[name]
-                             for values in out for name, got in zip(order, values))
-        modules = [importlib.import_module(f"abjadnum.{name}") for name in MODULES]
-        differing += sum(alone[name] is not module for name, module in zip(MODULES, modules))
-finally:
-    sys.setswitchinterval(0.005)
+for _ in range(ROUNDS):
+    # Each round starts from a fresh package, so the first access races again.
+    for name in [name for name in sys.modules if name.split(".")[0] == "abjadnum"]:
+        del sys.modules[name]
+    import abjadnum
+    names = list(abjadnum.__all__) + MODULES
+    # Each thread asks in its own order, so they start on different modules.
+    orders = [names[5 * i:] + names[:5 * i] for i in range(THREADS)]
+    outs = [[] for _ in range(THREADS)]
+    raised, alive = race(first_access, list(zip(orders, outs)))
+    errors += raised
+    stuck += alive
+    alone = {name: getattr(abjadnum, name) for name in names}
+    for order, out in zip(orders, outs):
+        calls += len(out)
+        differing += sum(got is not alone[name]
+                         for values in out for name, got in zip(order, values))
+    modules = [importlib.import_module(f"abjadnum.{name}") for name in MODULES]
+    differing += sum(alone[name] is not module for name, module in zip(MODULES, modules))
 print(repr(dict(errors=sorted(set(errors)), stuck=stuck, calls=calls, differing=differing)))
 """
 
 
 def test_threads_racing_the_first_access_get_the_same_objects():
-    seen = ast.literal_eval(_fresh(_RACE, MODULES=MODULES))
+    seen = ast.literal_eval(fresh(_RACE, MODULES=MODULES))
     assert seen == dict(errors=[], stuck=0, calls=8 * 50, differing=0)
