@@ -8,7 +8,8 @@ taken as one break: the usage line and the error line are both checked,
 whatever the width and the interpreter.
 
 ``python tests/test_cli_transcript.py`` rewrites the file from the CLI as it
-stands, keeping each row's argv and stdin.
+stands, keeping each row's argv and stdin.  The file is the one table of CLI
+input -> output examples.
 """
 
 import json
@@ -34,6 +35,8 @@ def _row_id(row: dict) -> str:
     shown = " ".join(row["argv"])
     if row["stdin"]:
         shown += " <stdin"
+        if not row["stdin"].removesuffix("\n").isprintable():  # CR or tab around the input
+            shown += f" {row['stdin']!r}"
     return shown if len(shown) <= 60 else f"{shown[:60]}...({len(shown)})"
 
 
@@ -49,6 +52,17 @@ def test_row(expected):
         got["stderr"] = got["stderr"].split()
         expected = {**expected, "stderr": expected["stderr"].split()}
     assert got == expected
+
+
+def test_no_two_rows_share_argv_and_stdin():
+    """Each CLI example is one row.
+
+    A new example needs only its ``argv`` and ``stdin``: append them as a
+    row, and ``python tests/test_cli_transcript.py`` fills in the exit code,
+    stdout and stderr.
+    """
+    keys = [(tuple(row["argv"]), row["stdin"]) for row in _rows()]
+    assert len(keys) == len(set(keys))
 
 
 if __name__ == "__main__":

@@ -232,26 +232,8 @@ _FIVE = decompose(5).groups[0].components
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: abjadnum.digit_provenance(3, "western"), ValueError,
-         "script must be a DigitScript, not str"),
-        (lambda: abjadnum.render_digits(5, "western"), ValueError,
-         "script must be a DigitScript, not str"),
-        (lambda: abjadnum.parse_digits("12", ["western"]), ValueError,
-         "script must be a DigitScript, not list"),
-        (lambda: abjadnum.transliterate("12", "western", W), ValueError,
-         "src must be a DigitScript, not str"),
-        (lambda: abjadnum.transliterate("12", W, {}), ValueError,
-         "dst must be a DigitScript, not dict"),
-        (lambda: abjadnum.gematria("ا", A, ignore=123), ValueError,
-         "ignore must be a str, not int"),
-        (lambda: abjadnum.letter_by_value("arabic", 1), ValueError,
-         "alphabet must be an Alphabet, not str"),
-        (lambda: abjadnum.letter_by_value(W, 5), ValueError,
-         "alphabet must be an Alphabet, not DigitScript"),
         (lambda: abjadnum.letters(10**5000), ValueError,
          "alphabet must be an Alphabet, not int"),
-        (lambda: abjadnum.letter_for_codepoint([1]), ValueError,
-         "codepoint must be a str, not list"),
         (lambda: abjadnum.format_reading("١٢"), ValueError,
          "reading must be a NumberReading, not str"),
         (lambda: abjadnum.format_reading(decompose(12), labels=5), ValueError,
@@ -285,10 +267,7 @@ _FIVE = decompose(5).groups[0].components
         (lambda: abjadnum.format_reading(NumberReading(1, (Group(0, 10**5000, ()),)), "ltr"),
          ValueError, "reading.groups must be a tuple of Group, not tuple"),
     ],
-    ids=["digit_provenance", "render_digits", "parse_digits", "transliterate-src",
-         "transliterate-dst", "gematria-ignore", "letter_by_value-str",
-         "letter_by_value-DigitScript", "letters", "letter_for_codepoint",
-         "format_reading", "format_reading-labels",
+    ids=["letters", "format_reading", "format_reading-labels",
          "format_reading-bytes-labels", "format_reading-int-labels",
          "format_reading-huge-labels", "letter_by_value-huge-list", "format_reading-str-labels",
          "format_reading-none-groups", "format_reading-int-groups",
@@ -303,16 +282,32 @@ def test_a_wrong_argument_type_is_a_value_error(call, error, message):
     assert (type(exc.value), str(exc.value)) == (error, message)
 
 
-# -- the one resolver of enum arguments ---------------------------------------
+# -- one message for each argument of the wrong type --------------------------
+
+
+def _parameters(kinds) -> list:
+    """(function, index, name, annotation) for each parameter of each public
+    function annotated with one of `kinds`."""
+    return [
+        (fn, index, param.name, param.annotation)
+        for fn in _WELL_FORMED
+        for index, param in enumerate(inspect.signature(fn).parameters.values())
+        if param.annotation in kinds
+    ]
+
+
+def _error(fn, index, value) -> tuple:
+    """The type and text of the ValueError that fn's well-formed call raises
+    with `value` as its argument `index`."""
+    args = list(_WELL_FORMED[fn])
+    args[index] = value
+    with pytest.raises(ValueError) as exc:
+        fn(*args)
+    return type(exc.value), str(exc.value)
+
 
 _KINDS = {Alphabet: "an Alphabet", DigitScript: "a DigitScript"}
-# (function, index, name, enum) for each enum parameter of each public function.
-_ENUM_PARAMETERS = [
-    (fn, index, param.name, param.annotation)
-    for fn in _WELL_FORMED
-    for index, param in enumerate(inspect.signature(fn).parameters.values())
-    if param.annotation in _KINDS
-]
+_ENUM_PARAMETERS = _parameters(_KINDS)
 
 
 def test_every_enum_parameter_is_found():
@@ -335,12 +330,46 @@ def test_a_wrong_enum_argument_names_its_parameter(fn, index, name, enum, bad):
     member = _WELL_FORMED[fn][index]
     other = DigitScript.WESTERN if enum is Alphabet else Alphabet.ARABIC
     value = {"value": member.value, "list": [member], "other-enum": other, "none": None}[bad]
-    args = list(_WELL_FORMED[fn])
-    args[index] = value
-    with pytest.raises(ValueError) as exc:
-        fn(*args)
-    assert (type(exc.value), str(exc.value)) == (
+    assert _error(fn, index, value) == (
         ValueError, f"{name} must be {_KINDS[enum]}, not {type(value).__name__}"
+    )
+
+
+_SCALAR_KINDS = {int: "an int", str: "a str"}
+# letter_by_value reads its value by a rule of its own: whatever is not a
+# letter value raises NotAnAbjadiValue.
+_SCALAR_PARAMETERS = [
+    parameter for parameter in _parameters(_SCALAR_KINDS)
+    if parameter[0] is not abjadnum.letter_by_value
+]
+
+
+def test_every_int_and_str_parameter_is_found():
+    found = sorted(f"{fn.__name__}.{name}" for fn, _, name, _ in _SCALAR_PARAMETERS)
+    assert found == [
+        "decode.word", "decompose.n", "digit_provenance.digit", "encode.n",
+        "format_reading.direction", "gematria.ignore", "gematria.phrase",
+        "gregorian_to_hijri_year.g", "hijri_to_gregorian_year.h",
+        "letter_for_codepoint.codepoint", "parse_digits.text", "render_digits.n",
+        "transliterate.text",
+    ]
+
+
+# A bool is not an int here, and the other kind is the str "12" or the int 123.
+_NOT_SCALARS = {"true": True, "false": False, "float": 12.0, "none": None, "bytes": b"12",
+                "list": ["1", "2"]}
+
+
+@pytest.mark.parametrize(
+    "fn, index, name, kind",
+    _SCALAR_PARAMETERS,
+    ids=[f"{fn.__name__}-{name}" for fn, _, name, _ in _SCALAR_PARAMETERS],
+)
+@pytest.mark.parametrize("bad", [*_NOT_SCALARS, "other-kind"])
+def test_a_wrong_int_or_str_argument_names_its_parameter(fn, index, name, kind, bad):
+    value = _NOT_SCALARS[bad] if bad in _NOT_SCALARS else {int: "12", str: 123}[kind]
+    assert _error(fn, index, value) == (
+        ValueError, f"{name} must be {_SCALAR_KINDS[kind]}, not {type(value).__name__}"
     )
 
 

@@ -75,10 +75,6 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(-1)
 
-    @pytest.mark.parametrize("n", [True, False, 12.0, "12", None])
-    def test_non_int_is_a_usage_error(self, n):
-        with pytest.raises(ValueError, match=r"^n must be an int, not "):
-            decompose(n)
 
 
 @given(st.integers(min_value=0, max_value=10**9))

@@ -95,13 +95,6 @@ def test_import_loads_neither_json_nor_unicodedata_nor_the_provenance_table():
     assert seen["filled_at_import"] == 0
 
 
-def test_a_plain_cli_call_loads_no_json():
-    seen = _first_call('cli.main(["encode", "--alphabet", "arabic", "1245"])')
-    assert (seen["result"], seen["printed"]) == ("0", "همرغ\n")
-    assert "json" not in seen["cli"] + seen["called"], seen
-    assert seen["filled"] == 0
-
-
 def test_a_json_cli_call_loads_no_json():
     seen = _first_call('cli.main(["encode", "--alphabet", "arabic", "--json", "1245"])')
     assert (seen["result"], seen["printed"]) == ("0", (
@@ -326,53 +319,45 @@ CLI_LOADS = {
     "hijri": (["hijri", "1225"], "1810\n", ["chronology", "digits"]),
 }
 
+# What argparse's import and its first message load; a well-formed call reads
+# its argv itself and loads none of them.
+PARSING = {"argparse", "gettext", "locale"}
+
 _CLI = """\
 import io, sys
 
 def loaded():
     return {name[9:] for name in sys.modules if name.startswith("abjadnum.")}
 
+before = set(sys.modules)
 from abjadnum import cli
 imported = loaded()
 stdout, sys.stdout = sys.stdout, io.StringIO()
 code = cli.main(ARGV)
 printed, sys.stdout = sys.stdout.getvalue(), stdout
-print(repr(dict(imported=sorted(imported), called=sorted(loaded() - imported), code=code,
-                printed=printed)))
+called = set(sys.modules)
+modules = loaded() - imported
+digits = sys.modules.get("abjadnum.digits")
+cli.build_parser()
+print(repr(dict(
+    imported=sorted(imported), called=sorted(modules), code=code, printed=printed,
+    parsing_or_json=sorted((PARSING | {"json"}) & (called - before)),
+    filled=sum(map(len, digits._PROVENANCE.values())) if digits else 0,
+    preloaded=sorted(PARSING & before),
+    built=sorted(PARSING & (set(sys.modules) - called)),
+)))
 """
 
 
 def test_a_cli_call_loads_only_the_modules_of_its_subcommand(command):
     argv, printed, modules = CLI_LOADS[command]
-    seen = ast.literal_eval(fresh(_CLI, ARGV=argv))
+    seen = ast.literal_eval(fresh(_CLI, ARGV=argv, PARSING=PARSING))
+    built = seen.pop("built") + seen.pop("preloaded")
     assert seen == dict(imported=["alphabets", "cli", "errors"], called=modules, code=0,
-                        printed=printed)
-
-
-# What argparse's import and its first message load; a well-formed call reads
-# its argv itself and loads none of them.
-PARSING = {"argparse", "gettext", "locale"}
-
-_NO_PARSER = """\
-import io, sys
-before = set(sys.modules)
-from abjadnum import cli
-stdout, sys.stdout = sys.stdout, io.StringIO()
-code = cli.main(ARGV)
-sys.stdout = stdout
-called = set(sys.modules)
-cli.build_parser()
-print(repr(dict(code=code, preloaded=sorted(PARSING & before),
-                called=sorted(PARSING & (called - before)),
-                built=sorted(PARSING & (set(sys.modules) - called)))))
-"""
-
-
-def test_a_well_formed_cli_call_loads_no_argparse(command):
-    seen = ast.literal_eval(fresh(_NO_PARSER, ARGV=CLI_LOADS[command][0], PARSING=PARSING))
-    assert (seen["code"], seen["called"]) == (0, []), seen
+                        printed=printed, parsing_or_json=[],
+                        filled=30 if command == "provenance" else 0)
     # A parser build is what loads argparse, unless site already had.
-    assert "argparse" in seen["built"] + seen["preloaded"], seen
+    assert "argparse" in built
 
 
 _NAMESPACE = """\
