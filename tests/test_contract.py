@@ -355,9 +355,22 @@ def test_every_int_and_str_parameter_is_found():
     ]
 
 
+class _Twelve:
+    """Converts to 12 by __index__, __int__ and __str__, as a NumPy integer
+    does, yet is neither an int nor a str."""
+
+    def __index__(self):
+        return 12
+
+    __int__ = __index__
+
+    def __str__(self):
+        return "12"
+
+
 # A bool is not an int here, and the other kind is the str "12" or the int 123.
 _NOT_SCALARS = {"true": True, "false": False, "float": 12.0, "none": None, "bytes": b"12",
-                "list": ["1", "2"]}
+                "list": ["1", "2"], "twelve": _Twelve()}
 
 
 @pytest.mark.parametrize(
