@@ -21,7 +21,7 @@ from abjadnum import (
     gematria,
 )
 from abjadnum.cli import _json, _parse_exact, build_parser
-from support import run_cli
+from support import outcome, run_cli
 
 # Each subcommand and the options it requires.
 REQUIRED = {
@@ -34,20 +34,6 @@ REQUIRED = {
     "hijri": [],
 }
 COMMANDS = list(REQUIRED)
-
-
-class TestHappyPaths:
-    def test_hijri_400_digit_year_both_directions(self):
-        # Past the stated limits both directions refuse, naming the last year.
-        year = "9" * 400
-        code, out, err = run_cli(["hijri", year])
-        assert (code, out, err) == (
-            1, "", f"ERROR OutOfRange: {year} AH is past the last year converted (455637 AH)\n"
-        )
-        code, out, err = run_cli(["hijri", "--reverse", year])
-        assert (code, out, err) == (
-            1, "", f"ERROR OutOfRange: {year} CE is past the last year converted (456833 CE)\n"
-        )
 
 
 class TestStdin:
@@ -142,9 +128,14 @@ _RESULTS = st.recursive(
 )
 
 
+def _dumps(result):
+    return json.dumps(_oracle(result), ensure_ascii=False)
+
+
 @given(_RESULTS)
 def test_json_writes_what_json_dumps_wrote(result):
-    assert _json(result) == json.dumps(_oracle(result), ensure_ascii=False)
+    # An int past the interpreter's digit limit raises the same ValueError in both.
+    assert outcome(_json, result) == outcome(_dumps, result)
 
 
 def test_json_writes_every_code_point_as_json_dumps_did():

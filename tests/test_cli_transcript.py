@@ -22,8 +22,17 @@ TRANSCRIPT = Path(__file__).parent / "data" / "cli_transcript.json"
 
 
 def run(argv: list[str], stdin: str) -> dict:
-    """The row of one ``main(argv)`` call reading `stdin`."""
-    code, stdout, stderr = run_cli(argv, stdin)
+    """The row of one ``main(argv)`` call reading `stdin`.
+
+    The call runs under the interpreter's default digit limit, which the rows
+    past 4300 digits pin, whatever ``PYTHONINTMAXSTRDIGITS`` says.
+    """
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        code, stdout, stderr = run_cli(argv, stdin)
+    finally:
+        sys.set_int_max_str_digits(limit)
     return {"argv": argv, "stdin": stdin, "code": code, "stdout": stdout, "stderr": stderr}
 
 

@@ -7,6 +7,7 @@ the canonical words cover 1..1999 (Arabic) and 1..499 (Hebrew) exactly
 once each, and pins what encode() must return.
 """
 
+import ast
 import copy
 import itertools
 import pickle
@@ -570,6 +571,40 @@ def test_every_four_letter_word_of_the_edge_values_matches_the_band_rule(alphabe
             assert outcome(decode, word, alphabet, strict) == outcome(
                 _reference_decode, word, alphabet, strict
             )
+
+
+# Every codepoint of the Hebrew and Arabic blocks, whose marks the skip rule
+# answers from codec._MARKS without asking unicodedata.
+_TWO_BLOCKS = [chr(cp) for cp in range(0x0590, 0x0700)]
+
+
+class TestMarks:
+    def test_the_marks_are_the_tatweel_and_the_combining_marks_of_the_two_blocks(self):
+        # unicodedata of the running interpreter: Tier-1 on each supported
+        # CPython checks the literal ranges against its Unicode version.
+        assert codec._MARKS == {"\u0640"} | {ch for ch in _TWO_BLOCKS if unicodedata.combining(ch)}
+
+    def test_no_mark_is_a_letter(self):
+        assert codec._MARKS.isdisjoint(_OWNERS)
+
+    def test_each_character_of_the_two_blocks_after_a_letter_decodes_as_the_rule_says(self):
+        for alphabet, letter in [(Alphabet.ARABIC, "\u0628"), (Alphabet.HEBREW, "\u05d0")]:
+            for ch in _TWO_BLOCKS:
+                for strict in (False, True):
+                    assert outcome(decode, letter + ch, alphabet, strict) == outcome(
+                        _reference_decode, letter + ch, alphabet, strict
+                    ), (alphabet, hex(ord(ch)))
+
+    def test_import_stores_the_letters_alone(self):
+        # The marks are stored on their first miss, never at import.
+        seen = fresh(
+            "from abjadnum import codec\n"
+            "print(repr({a.name: sorted(table) for a, table in codec._VALUES.items()}))\n"
+        )
+        assert ast.literal_eval(seen) == {
+            alphabet.name: sorted(cp for letter in letters(alphabet) for cp in letter.codepoints)
+            for alphabet in Alphabet
+        }
 
 
 _skippable_marks = (

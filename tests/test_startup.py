@@ -2,8 +2,11 @@
 
 ``import abjadnum`` loads none of its modules: the first use of a public
 name imports the module that exports it (and what that module imports).
-``unicodedata`` is imported by the skip rule of codec on its first miss, and
-the digit-provenance TSV is read on the first ``digit_provenance`` call.
+``unicodedata`` is imported by the skip rule of codec only for a character
+that is neither whitespace nor a mark of the Hebrew and Arabic blocks, so
+vocalised Arabic and Hebrew text never loads it.  ``encode``'s tables are
+built on its first call, and the digit-provenance TSV is read on the first
+``digit_provenance`` call.
 ``json`` is loaded by no call: the CLI writes its --json line itself.
 ``dataclasses`` and ``inspect`` (whose import pulls in ``ast``, ``dis`` and
 ``tokenize``) are never loaded, neither by the import nor by a call.
@@ -31,14 +34,18 @@ FIRST_USES = {
     "provenance-not-a-script": 'digit_provenance(0, "western")',
     "cli-provenance-json": 'cli.main(["provenance", "--script", "original", "--json", "4"])',
     "cli-gematria-json": 'cli.main(["gematria", "--alphabet", "arabic", "--json", "اللّه"])',
+    # A combining mark outside U+0590-06FF, which the skip rule asks unicodedata about.
+    "decode-foreign-mark": 'decode("\\u0628\\u1ab0", Alphabet.ARABIC)',
 }
 
-# What the call under test should load, when site has not already.
+# The DEFERRED modules the call under test should load, when site has not
+# already; a first use not listed loads none.
 LOADS = {
-    "decode-harakat": {"unicodedata"},
-    "gematria-shadda": {"unicodedata"},
+    "decode-harakat": set(),
+    "gematria-shadda": set(),
     "cli-provenance-json": set(),
-    "cli-gematria-json": {"unicodedata"},
+    "cli-gematria-json": set(),
+    "decode-foreign-mark": {"unicodedata"},
 }
 
 # The paths that read the provenance table, all 30 entries of it.
@@ -122,12 +129,39 @@ def test_a_first_use_answers_as_a_warm_process(first_use):
     cold = _first_call(call)
     warm = _first_call(call, warm_up=FIRST_USES.values())
     assert (cold["result"], cold["printed"]) == (warm["result"], warm["printed"])
-    # The call itself loaded what it needs, and the warm process already had.
-    assert LOADS.get(first_use, set()) - set(cold["preloaded"]) <= set(cold["called"]), cold
+    # The call itself loaded what it needs and no other deferred module, and
+    # the warm process already had.
+    loads = LOADS.get(first_use, set()) - set(cold["preloaded"])
+    assert DEFERRED & set(cold["called"]) == loads, cold
     assert DEFERRED.isdisjoint(warm["called"]), warm
-    assert "json" not in cold["called"], cold
     assert NEVER_LOADED.isdisjoint(cold["cli"] + cold["called"]), cold
     assert cold["filled"] == (30 if first_use in READS_PROVENANCE else 0)
+
+
+_ENCODE_TABLES = """\
+from abjadnum import Alphabet, codec, encode, OutOfRange
+
+def built():
+    return {alphabet.name: table.parts is not None for alphabet, table in codec._NUMERALS.items()}
+
+at_import = built()
+try:
+    encode(2000, Alphabet.ARABIC)
+except OutOfRange:
+    pass
+refused = built()
+text = encode(1245, Alphabet.ARABIC).text
+arabic = built()
+encode(1, Alphabet.HEBREW)
+print(repr(dict(at_import=at_import, refused=refused, text=text, arabic=arabic, both=built())))
+"""
+
+
+def test_encode_builds_its_tables_on_its_first_call_in_each_alphabet():
+    seen = ast.literal_eval(fresh(_ENCODE_TABLES))
+    none, arabic = dict(ARABIC=False, HEBREW=False), dict(ARABIC=True, HEBREW=False)
+    assert seen == dict(at_import=none, refused=none, text="همرغ", arabic=arabic,
+                        both=dict(ARABIC=True, HEBREW=True))
 
 
 def test_the_not_a_script_message_is_the_lookup_message():
