@@ -9,11 +9,10 @@ immutable afterwards.
 """
 
 import os
-from collections import namedtuple
 from enum import Enum
 
 from .errors import NotAnAbjadiValue, OutOfAlphabetRange, UnknownLetter, check_int, check_text
-from .errors import int_text, lookup
+from .errors import Record, int_text, lookup
 
 # The 28 letter values: units, tens, hundreds, then 1000.
 ABJADI_SEQUENCE = tuple(
@@ -35,10 +34,13 @@ class Alphabet(Enum):
     __hash__ = object.__hash__
 
 
-class Letter(namedtuple("Letter", "codepoint variants name value order alphabet")):
+class Letter(Record):
     """One letter with its value and place in the letter-value order."""
 
     __slots__ = ()
+
+    def __new__(cls, codepoint, variants, name, value, order, alphabet):
+        return tuple.__new__(cls, (codepoint, variants, name, value, order, alphabet))
 
     @property
     def codepoints(self) -> tuple[str, ...]:

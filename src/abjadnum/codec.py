@@ -89,11 +89,10 @@ that alternates two ignore sets on every call takes 2.9-3.1 times as long,
 since each such call builds a new memo and table copy.
 """
 
-from collections import namedtuple
 from operator import itemgetter
 
 from .alphabets import ABJADI_SEQUENCE, Alphabet, letter_for_codepoint, letters
-from .errors import NonCanonical, OutOfRange, UnknownLetter, ZeroUnencodable
+from .errors import NonCanonical, OutOfRange, Record, UnknownLetter, ZeroUnencodable
 from .errors import check_int, check_text, int_text, lookup
 
 MAX_ENCODABLE = {Alphabet.ARABIC: 1999, Alphabet.HEBREW: 499}
@@ -111,10 +110,13 @@ _MARKS = frozenset([_TATWEEL, *(chr(cp) for first, last in (
 ) for cp in range(first, last + 1))])
 
 
-class AbjadNumeral(namedtuple("AbjadNumeral", "alphabet letters value")):
+class AbjadNumeral(Record):
     """A canonical letter-word denoting `value` in one alphabet."""
 
     __slots__ = ()
+
+    def __new__(cls, alphabet, letters, value):
+        return tuple.__new__(cls, (alphabet, letters, value))
 
     @property
     def text(self) -> str:
@@ -134,8 +136,14 @@ class AbjadNumeral(namedtuple("AbjadNumeral", "alphabet letters value")):
         return self.text
 
 
-# per_word holds one (token, value) pair per whitespace-separated token.
-GematriaResult = namedtuple("GematriaResult", "total per_word")
+class GematriaResult(Record):
+    """The `total` value of a phrase; `per_word` holds one (token, value) pair
+    per whitespace-separated token."""
+
+    __slots__ = ()
+
+    def __new__(cls, total, per_word):
+        return tuple.__new__(cls, (total, per_word))
 
 
 def _two_digit(entries, empty, limit):
@@ -150,7 +158,7 @@ def _two_digit(entries, empty, limit):
             [hundreds[k % 10] + thousands[k // 10] for k in range(limit // 100 + 1)])
 
 
-_new = tuple.__new__  # positional record construction, as namedtuple's _make
+_new = tuple.__new__  # positional record construction, as Record._make
 
 
 class _Numerals(dict):

@@ -27,11 +27,10 @@ int and str (4300 unless raised with ``sys.set_int_max_str_digits``): past
 that limit, rendering and parsing both raise a ValueError that names it.
 """
 
-from collections import namedtuple
 from enum import Enum
 
 from .alphabets import Alphabet, _rows, letters
-from .errors import InvalidGlyph, check_int, check_text, digit_limit, lookup
+from .errors import InvalidGlyph, Record, check_int, check_text, digit_limit, lookup
 
 
 class DigitScript(Enum):
@@ -72,10 +71,13 @@ _RENDER = _TRANSLATE[DigitScript.WESTERN][1]  # render_digits' tables, from West
 _SWAP_4_5 = bytes.maketrans(b"45", b"54")  # Maghrebi proxy glyphs to Western
 
 
-class DigitProvenance(namedtuple("DigitProvenance", "digit script alphabet letter note")):
+class DigitProvenance(Record):
     """The source letter and reshaping behind one digit glyph."""
 
     __slots__ = ()
+
+    def __new__(cls, digit, script, alphabet, letter, note):
+        return tuple.__new__(cls, (digit, script, alphabet, letter, note))
 
 
 def _read_provenance() -> dict[DigitScript, dict[int, DigitProvenance]]:

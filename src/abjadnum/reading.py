@@ -18,10 +18,9 @@ index 3 is built afresh by each call and stored nowhere, so the tables stay
 bounded however large n is.
 """
 
-from collections import namedtuple
 from collections.abc import Sequence
 
-from .errors import InsufficientLabels, check_int, check_text, wrong_type
+from .errors import InsufficientLabels, Record, check_int, check_text, wrong_type
 
 RANKS = ("units", "tens", "hundreds")
 
@@ -31,18 +30,33 @@ RIGHT_TO_LEFT = "rtl"
 LEFT_TO_RIGHT = "ltr"
 
 
-# rank is "units", "tens" or "hundreds".
-RankComponent = namedtuple("RankComponent", "rank value")
+class RankComponent(Record):
+    """One nonzero digit of a group: `rank` is "units", "tens" or "hundreds",
+    and `value` the digit times its rank's weight."""
+
+    __slots__ = ()
+
+    def __new__(cls, rank, value):
+        return tuple.__new__(cls, (rank, value))
 
 
-class Group(namedtuple("Group", "index value components")):
+class Group(Record):
     """One base-1000 group: value = group value, weight 1000**index."""
 
     __slots__ = ()
 
+    def __new__(cls, index, value, components):
+        return tuple.__new__(cls, (index, value, components))
 
-# groups runs from the least significant group up.
-NumberReading = namedtuple("NumberReading", "value groups")
+
+class NumberReading(Record):
+    """A number read in 3-digit groups; `groups` runs from the least
+    significant group up."""
+
+    __slots__ = ()
+
+    def __new__(cls, value, groups):
+        return tuple.__new__(cls, (value, groups))
 
 
 # The rank records, shared by every reading: entry d of a rank's table is ()
@@ -52,7 +66,7 @@ _UNITS, _TENS, _HUNDREDS = tuple(
     for rank, scale in zip(RANKS, (1, 10, 100))
 )
 
-_new = tuple.__new__  # positional record construction, as namedtuple's _make
+_new = tuple.__new__  # positional record construction, as Record._make
 
 
 class _Table(dict):

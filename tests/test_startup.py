@@ -169,6 +169,52 @@ def test_the_not_a_script_message_is_the_lookup_message():
     assert seen["result"] == repr(ValueError("script must be a DigitScript, not str"))
 
 
+_NO_EVAL = """\
+import builtins, sys
+
+evaluated = []
+real_eval = builtins.eval
+
+def spy(source, *args, **kwargs):
+    # Counted when an abjadnum frame is met before the import machinery: not
+    # inside a stdlib module's own import (enum imports functools on CPython
+    # 3.12, which builds a namedtuple of its own).
+    frame = sys._getframe(1)
+    while frame and not frame.f_globals.get("__name__", "").startswith("importlib"):
+        if frame.f_globals.get("__name__", "").startswith("abjadnum"):
+            evaluated.append(str(source)[:60])
+            break
+        frame = frame.f_back
+    return real_eval(source, *args, **kwargs)
+
+builtins.eval = spy
+from abjadnum import *
+from abjadnum import alphabets, chronology, codec, digits, errors, reading
+
+A, S = Alphabet.ARABIC, DigitScript.MASHREKI_EASTERN
+letters(A)
+letter_by_value(A, 40)
+letter_for_codepoint("م")
+encode(1245, A)
+decode("همرغ", A)
+decode("همرغ", A, strict=True)
+gematria("بِسْمِ اللّه،", A, "،")
+parse_digits(render_digits(1225, S), S)
+transliterate("1225/03/14", DigitScript.WESTERN, S)
+digit_provenance(4, S)
+format_reading(decompose(12457892), "ltr")
+hijri_to_gregorian_year(1225)
+gregorian_to_hijri_year(1810)
+builtins.eval = real_eval
+print(repr(evaluated))
+"""
+
+
+def test_import_and_first_calls_generate_no_code():
+    # collections.namedtuple compiles each record class's __new__ with eval.
+    assert ast.literal_eval(fresh(_NO_EVAL)) == []
+
+
 _CONCURRENT = """\
 from abjadnum import Alphabet, DigitScript, decode, digit_provenance, digits
 from support import race
