@@ -6,32 +6,29 @@ them in ascending value order, so the units letter comes first in memory
 and shows rightmost in right-to-left script.  "همرغ" is 5+40+200+1000 =
 1245.  Arabic covers 1..1999, Hebrew 1..499; larger numbers have no single
 agreed word form and are rejected.  Any n <= 1999 is n % 100 plus n // 100
-hundreds, so its parts come from two tables: the parts of n % 100 (0..99)
-followed by those of 100 * (n // 100) (0..1900).  Encode's tables, of
-letters and of their text, are built by the first encode in each alphabet;
-strict decoding's, of letter values, at import.  Strict decoding compares a
-word's values with the two entries of values for its total, units first:
-each letter value is d * 10**r with d <= 9, so one letter per band adds
-without carries, and a word is canonical exactly when its total is at most
-1999 and its values are those parts.
+hundreds, so its letter values, units first, are two entries of one split
+built at import: those of n % 100 (0..99) followed by those of
+100 * (n // 100) (0..1900).  Encode maps each value to its letter, and
+strict decoding compares a word's values with the two entries for its
+total: each letter value is d * 10**r with d <= 9, so one letter per band
+adds without carries, and a word is canonical exactly when its total is at
+most 1999 and its values are those entries.
 
 Each n has one canonical word, so encode hands out one shared AbjadNumeral
 per alphabet and value, from a table per alphabet that fills an entry on
-first use.  A miss joins the two entries of letters, and the two of their
-text, and stores the record with setdefault, so two threads that miss
-together share one record; a value outside the range raises and stores
-nothing.  The text is kept in a dict keyed by id() of the stored record's
-letters.  The tables are never emptied, so each such id names a live
-tuple, and text, a pure function of the immutable letters, is joined once
-per value; a record whose letters are any other object (built by hand or
-unpickled) joins them on each read.  The tables hold at most 1999 + 499
-records, bounded by the values, not by the inputs: filled, with their
-texts, they hold 0.75-0.78 MiB (tracemalloc, CPython 3.10-3.13).  Against
-building the record and joining its text on every call, a warm
-``encode(n, alphabet).text`` takes 0.39-0.50 of the time.  A value's first
-encode pays the build and the store, so a first pass of the benchmark's
-``numbers`` workload in a fresh process takes 1.02-1.04 of the time (its
-encodes 1.12-1.18), and each later pass 0.92-0.93.
+first use.  A miss maps the two entries of the split to their letters and
+stores the record with setdefault, so two threads that miss together share
+one record; a value outside the range raises and stores nothing.  The text
+is kept in a dict keyed by id() of the stored record's letters, and the
+miss has ``text`` join it, as for any record.  The tables are never
+emptied, so each such id names a live tuple, and text, a pure function of
+the immutable letters, is joined once per value; a record whose letters are
+any other object (built by hand or unpickled) joins them on each read.  The
+tables hold at most 1999 + 499 records, bounded by the values, not by the
+inputs: filled, with their texts, they hold 0.77-0.81 MiB (tracemalloc,
+CPython 3.10-3.13).  Against building the record and joining its text on
+every call, a warm ``encode(n, alphabet).text`` takes 0.39-0.50 of the
+time, and a warm pass of the benchmark's ``numbers`` workload 0.92-0.93.
 
 Decoding and gematria count letters only.  A character is skipped when it
 is whitespace, the tatweel (U+0640, elongation), a combining mark
@@ -54,11 +51,8 @@ an assigned character's canonical combining class never changes.  It
 imports ``unicodedata`` for any other character, so a text of letters,
 whitespace and the marks of the two scripts never loads it.  In a fresh
 process (CPython 3.10-3.13, a shared 2-vCPU VM, the median of 41 each)
-that import costs 0.28-0.44 ms and the build of encode's tables 0.10-0.21
-ms, against about 15 us for ``_MARKS`` at import.  The benchmark's
-``manuscript`` set-up (import and first calls, CPython 3.11.7) takes 0.87
-of the time it took when the rule imported ``unicodedata`` on its first miss
-and encode's tables were built at import.
+that import costs 0.28-0.44 ms, against about 15 us for ``_MARKS`` at
+import.
 
 The word memo maps a gematria token to its finished ``per_word`` entry,
 the pair ``(token, value)``, whose first field is the key itself.  A word
@@ -91,7 +85,8 @@ since each such call builds a new memo and table copy.
 
 from operator import itemgetter
 
-from .alphabets import ABJADI_SEQUENCE, Alphabet, letter_for_codepoint, letters
+from . import alphabets
+from .alphabets import Alphabet, letter_for_codepoint, letters
 from .errors import NonCanonical, OutOfRange, Record, UnknownLetter, ZeroUnencodable
 from .errors import check_int, check_text, int_text, lookup
 
@@ -146,17 +141,18 @@ class GematriaResult(Record):
         return tuple.__new__(cls, (total, per_word))
 
 
-def _two_digit(entries, empty, limit):
-    """(low, high): low[k] joins the entries of k's parts, units first, for k
-    in 0..99, and high[k] those of 100 * k <= limit.  `entries` maps a letter
-    value to its entry; a part that no letter carries has the entry `empty`.
-    """
-    units, tens, hundreds, thousands = (
-        [entries.get(digit * scale, empty) for digit in range(10)] for scale in (1, 10, 100, 1000)
+def _two_digit():
+    """(low, high): low[k] lists the letter values of k's parts, units first,
+    for k in 0..99, and high[k] those of 100 * k, for k in 0..19."""
+    units, tens, hundreds = (
+        [[]] + [[digit * scale] for digit in range(1, 10)] for scale in (1, 10, 100)
     )
     return ([units[k % 10] + tens[k // 10] for k in range(100)],
-            [hundreds[k % 10] + thousands[k // 10] for k in range(limit // 100 + 1)])
+            [hundreds[k % 10] + [1000] * (k // 10) for k in range(20)])
 
+
+# The one band split, for encode and for strict decoding in either alphabet.
+_PARTS = _two_digit()
 
 _new = tuple.__new__  # positional record construction, as Record._make
 
@@ -164,32 +160,25 @@ _new = tuple.__new__  # positional record construction, as Record._make
 class _Numerals(dict):
     """n -> the shared AbjadNumeral of n in one alphabet; a miss builds and stores it.
 
-    `parts` is (low, high, low_text, high_text): _two_digit's tables of letters
-    and of their text, None until the first miss inside 1..limit builds them.
-    A miss outside 1..limit raises OutOfRange and stores nothing.
+    `letter_of` maps a letter value to its letter.  A miss outside 1..limit
+    raises OutOfRange and stores nothing.
     """
 
-    __slots__ = ("alphabet", "limit", "parts")
+    __slots__ = ("alphabet", "limit", "letter_of")
 
     def __init__(self, alphabet: Alphabet, limit: int) -> None:
-        self.alphabet, self.limit, self.parts = alphabet, limit, None
+        self.alphabet, self.limit = alphabet, limit
+        self.letter_of = alphabets._BY_VALUE[alphabet].__getitem__
 
     def __missing__(self, n: int) -> AbjadNumeral:
         if not 1 <= n <= self.limit:
             raise OutOfRange(f"{int_text(n)} is outside 1..{self.limit} for {self.alphabet.value}")
-        parts = self.parts
-        if parts is None:  # the first encode; threads that race each build equal parts
-            entries, limit = letters(self.alphabet), self.limit
-            parts = self.parts = (
-                *_two_digit({letter.value: (letter,) for letter in entries}, (), limit),
-                *_two_digit({letter.value: letter.codepoint for letter in entries}, "", limit),
-            )
-        low, high, low_text, high_text = parts
-        k, h = n % 100, n // 100
+        low, high = _PARTS
+        word = tuple(map(self.letter_of, low[n % 100] + high[n // 100]))
         # setdefault: two threads that miss together still share one record,
         # and only the letters of the record stored have their text kept.
-        numeral = self.setdefault(n, _new(AbjadNumeral, (self.alphabet, low[k] + high[h], n)))
-        _TEXTS[id(numeral.letters)] = low_text[k] + high_text[h]
+        numeral = self.setdefault(n, _new(AbjadNumeral, (self.alphabet, word, n)))
+        _TEXTS[id(numeral.letters)] = numeral.text  # joined by text while _TEXTS has no entry
         return numeral
 
 
@@ -199,8 +188,6 @@ class _Numerals(dict):
 _TEXTS = {}
 
 _NUMERALS = {alphabet: _Numerals(alphabet, limit) for alphabet, limit in MAX_ENCODABLE.items()}
-# The same split as lists of letter values, for strict decoding in either alphabet.
-_PARTS = _two_digit({value: [value] for value in ABJADI_SEQUENCE}, [], 1999)
 
 
 def encode(n: int, alphabet: Alphabet) -> AbjadNumeral:

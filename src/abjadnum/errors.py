@@ -28,7 +28,14 @@ where defining them as named tuples of ``collections`` took 0.42-0.69 ms
 """
 
 import sys
-from collections import _tuplegetter
+
+try:
+    from collections import _tuplegetter  # a private name of collections
+except ImportError:  # the fallback that collections itself takes
+    from operator import itemgetter
+
+    def _tuplegetter(index, doc):
+        return property(itemgetter(index), doc=doc)
 
 
 class Record(tuple):
@@ -36,7 +43,9 @@ class Record(tuple):
 
     A record's fields are the parameters of its own ``__new__``, read here
     once per class, so each field name is written once.  Each field is read
-    through the C descriptor that ``collections`` gives a named tuple's.
+    through the C descriptor that ``collections`` gives a named tuple's, or,
+    where ``collections`` no longer has that private name, through the
+    property it falls back to itself.
     """
 
     __slots__ = ()

@@ -4,9 +4,8 @@
 name imports the module that exports it (and what that module imports).
 ``unicodedata`` is imported by the skip rule of codec only for a character
 that is neither whitespace nor a mark of the Hebrew and Arabic blocks, so
-vocalised Arabic and Hebrew text never loads it.  ``encode``'s tables are
-built on its first call, and the digit-provenance TSV is read on the first
-``digit_provenance`` call.
+vocalised Arabic and Hebrew text never loads it.  The digit-provenance TSV
+is read on the first ``digit_provenance`` call.
 ``json`` is loaded by no call: the CLI writes its --json line itself.
 ``dataclasses`` and ``inspect`` (whose import pulls in ``ast``, ``dis`` and
 ``tokenize``) are never loaded, neither by the import nor by a call.
@@ -138,32 +137,6 @@ def test_a_first_use_answers_as_a_warm_process(first_use):
     assert cold["filled"] == (30 if first_use in READS_PROVENANCE else 0)
 
 
-_ENCODE_TABLES = """\
-from abjadnum import Alphabet, codec, encode, OutOfRange
-
-def built():
-    return {alphabet.name: table.parts is not None for alphabet, table in codec._NUMERALS.items()}
-
-at_import = built()
-try:
-    encode(2000, Alphabet.ARABIC)
-except OutOfRange:
-    pass
-refused = built()
-text = encode(1245, Alphabet.ARABIC).text
-arabic = built()
-encode(1, Alphabet.HEBREW)
-print(repr(dict(at_import=at_import, refused=refused, text=text, arabic=arabic, both=built())))
-"""
-
-
-def test_encode_builds_its_tables_on_its_first_call_in_each_alphabet():
-    seen = ast.literal_eval(fresh(_ENCODE_TABLES))
-    none, arabic = dict(ARABIC=False, HEBREW=False), dict(ARABIC=True, HEBREW=False)
-    assert seen == dict(at_import=none, refused=none, text="همرغ", arabic=arabic,
-                        both=dict(ARABIC=True, HEBREW=True))
-
-
 def test_the_not_a_script_message_is_the_lookup_message():
     seen = _first_call(FIRST_USES["provenance-not-a-script"])
     assert seen["result"] == repr(ValueError("script must be a DigitScript, not str"))
@@ -280,15 +253,25 @@ def rank_loop(n):
         if not rest:
             return NumberReading(n, tuple(groups))
 
-def first_use(order):
-    results.append({n: decompose(n) for n in order})
+def spoken(got):
+    said = [" et ".join(str(c.value) for c in group.components) for group in got.groups]
+    return " ; ".join(f"{part} {LABELS[i]}" if LABELS[i] else part
+                      for i, part in enumerate(said) if part) or "0"
 
-EXPECTED = {n: rank_loop(n) for n in NUMBERS}
+def first_use(order):
+    readings = {}
+    for n in order:
+        got = decompose(n)
+        readings[n] = got, format_reading(got, "rtl", LABELS)
+    results.append(readings)
+
+EXPECTED = {n: (rank_loop(n), spoken(rank_loop(n))) for n in NUMBERS}
 calls = differing = unshared = 0
-# Each round empties every group table, so that its first use races again;
-# each thread reads the numbers in its own order, so they miss on different ones.
+# Each round empties the group, components and speech tables, so that their
+# first use races again; each thread reads the numbers in its own order, so
+# they miss on different ones.
 for _ in range(ROUNDS):
-    for table in reading._GROUPS:
+    for table in (*reading._GROUPS, reading._COMPONENTS, reading._SPOKEN):
         table.clear()
     results.clear()
     raised, alive = race(first_use, [(NUMBERS[25 * i:] + NUMBERS[:25 * i],)
@@ -298,15 +281,17 @@ for _ in range(ROUNDS):
     calls += len(results)
     for readings in results:
         differing += readings != EXPECTED
-        differing += any(
-            format_reading(readings[n], "rtl", LABELS) != format_reading(EXPECTED[n], "rtl", LABELS)
-            for n in NUMBERS
-        )
-        # A record of a shared index is the one its table holds.
+        # A record of a shared index is the one its table holds, and every
+        # group's components are the tuple the components table holds.
         unshared += sum(
             group is not table[group.value]
-            for got in readings.values()
+            for got, _ in readings.values()
             for group, table in zip(got.groups, reading._GROUPS)
+        )
+        unshared += sum(
+            group.components is not reading._COMPONENTS[group.value]
+            for got, _ in readings.values()
+            for group in got.groups
         )
 print(repr(dict(
     errors=sorted(set(errors)),
@@ -315,7 +300,7 @@ print(repr(dict(
     differing=differing,
     unshared=unshared,
     tables=len(reading._GROUPS),
-    largest=max(map(len, reading._GROUPS)),
+    largest=max(map(len, (*reading._GROUPS, reading._COMPONENTS, reading._SPOKEN))),
 )))
 """
 
