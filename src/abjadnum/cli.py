@@ -2,7 +2,9 @@
 
 Results print bare to stdout (or as one JSON object with --json); domain
 errors print to stderr as ``ERROR <code>: <detail>``.  The input comes from
-the final positional argument, or stdin when it is absent.  Exit status:
+the final positional argument, or stdin when it is absent.  Stdin is read as
+UTF-8; one leading byte-order mark (U+FEFF, which some editors write) is
+dropped, then the whitespace around the input.  Exit status:
 
 - 0: a result or help was written;
 - 1: a domain error, or stdout gone or closed (nothing more is printed);
@@ -94,7 +96,7 @@ def _text_input(given: str | None) -> str:
         return given
     if sys.stdin is None:
         raise ValueError("no value given and stdin is closed")
-    return sys.stdin.buffer.read().decode("utf-8").strip()
+    return sys.stdin.buffer.read().decode("utf-8").removeprefix("\ufeff").strip()
 
 
 # json's escapes for a str: the two-character ones, and \u00XX for the rest of

@@ -21,10 +21,10 @@ library.
 
 Every result record subclasses :class:`Record`, a tuple with the API of a
 named tuple, built without generating and compiling source for each class.
-It lives here because every library module imports this one.  Defining the
-seven records takes 0.10-0.13 ms in a fresh CPython 3.10-3.13 process,
-where defining them as named tuples of ``collections`` took 0.42-0.69 ms
-(median of 21 processes each, a shared 2-vCPU VM).
+It lives here because every library module imports this one.  What
+defining the seven records costs, against named tuples of ``collections``,
+is recorded in CHANGES.md, in the entry that built them without
+``namedtuple``.
 """
 
 import sys
@@ -97,9 +97,9 @@ def lookup(table: dict, key, name: str, kind: str):
     """table[key], or the wrong_type error for `name` if `key` is not a `kind`.
 
     Alphabet and DigitScript hash by identity, so an enum argument costs one
-    C-level hash and one dict probe; against Enum's Python-level hash, that
-    took encode to 0.83-0.90x, transliterate to 0.78-0.80x and
-    digit_provenance to 0.66-0.75x of their time on CPython 3.10-3.13.
+    C-level hash and one dict probe, not Enum's Python-level hash.  CHANGES.md
+    records what that saved each operation, in the entry that made the two
+    enums hash by identity.
     """
     try:
         return table[key]

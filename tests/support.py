@@ -94,3 +94,48 @@ def race(work, args):
     finally:
         sys.setswitchinterval(interval)
     return errors, sum(thread.is_alive() for thread in threads)
+
+
+def reference_decompose(n):
+    """The reading of `n`, by a loop over its 3-digit groups and their ranks."""
+    from abjadnum import Group, NumberReading, RankComponent
+
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"n must be an int, not {type(n).__name__}")
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    groups = []
+    rest = n
+    while True:
+        value = rest % 1000
+        components = tuple(
+            RankComponent(rank=rank, value=value // scale % 10 * scale)
+            for rank, scale in (("units", 1), ("tens", 10), ("hundreds", 100))
+            if value // scale % 10
+        )
+        groups.append(Group(index=len(groups), value=value, components=components))
+        rest //= 1000
+        if rest == 0:
+            break
+    return NumberReading(value=n, groups=tuple(groups))
+
+
+def reference_format(reading, direction, labels, figure_exact):
+    """The speech of a reading of `reference_decompose`, group by group."""
+    from abjadnum import InsufficientLabels
+
+    if len(reading.groups) > len(labels):
+        raise InsufficientLabels(f"{len(reading.groups)} groups but only {len(labels)} labels")
+    parts = []
+    if direction == "rtl":
+        for group in reading.groups:
+            if group.components:
+                spoken = " et ".join(str(c.value) for c in group.components)
+                label = labels[group.index]
+                parts.append(f"{spoken} {label}" if label else spoken)
+        return (" et " if figure_exact else " ; ").join(parts) if parts else "0"
+    for group in reversed(reading.groups):
+        if group.value:
+            label = labels[group.index]
+            parts.append(f"{group.value} {label}" if label else str(group.value))
+    return " ".join(parts) if parts else "0"

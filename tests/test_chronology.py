@@ -10,9 +10,6 @@ from abjadnum.chronology import LAST_YEAR_AH, LAST_YEAR_CE
 
 
 class TestForward:
-    def test_manuscript_year(self):
-        assert hijri_to_gregorian_year(1225) == 1810
-
     def test_epoch_within_tolerance(self):
         assert abs(hijri_to_gregorian_year(1) - 622) <= 1
 
@@ -44,11 +41,6 @@ class TestBackward:
 
 
 class TestProperties:
-    def test_round_trip_drift_at_most_one_year(self):
-        for h in range(1, 2001):
-            back = gregorian_to_hijri_year(hijri_to_gregorian_year(h))
-            assert abs(back - h) <= 1
-
     def test_forward_is_monotonic(self):
         years = [hijri_to_gregorian_year(h) for h in range(1, 3001)]
         assert all(a <= b for a, b in zip(years, years[1:]))
@@ -84,6 +76,17 @@ class TestExactArithmetic:
             assert hijri_to_gregorian_year(year) == round(RATIO * year + OFFSET)
         if year >= 622:
             assert gregorian_to_hijri_year(year) == max(1, round((year - OFFSET) / RATIO))
+
+    def test_every_year_to_20000_matches_exact_rationals(self):
+        # The draws above are spread over all 456833 years; this pins each
+        # year a manuscript can bear, so a one-year slip at any one of them fails.
+        years = range(1, 20001)
+        assert [hijri_to_gregorian_year(h) for h in years] == [
+            round(RATIO * h + OFFSET) for h in years
+        ]
+        assert [gregorian_to_hijri_year(g) for g in years[621:]] == [
+            max(1, round((g - OFFSET) / RATIO)) for g in years[621:]
+        ]
 
     @pytest.mark.parametrize("k", [0, 1, 6, 10**20, 10**40 + 3],
                              ids=["0", "1", "6", "1e20", "1e40+3"])
@@ -145,18 +148,6 @@ class TestTabularCalendar:
         assert [_gregorian_year(jdn) for jdn in days] == [
             date.fromordinal(jdn - _JDN_OF_ORDINAL_0).year for jdn in days
         ]
-
-    def test_a_hijri_year_converts_to_a_gregorian_year_it_overlaps(self):
-        missed = [h for h in range(1, 10**4 + 1) if hijri_to_gregorian_year(h) not in _span(h)]
-        assert missed == []
-
-    def test_a_gregorian_year_converts_to_a_hijri_year_that_overlaps_it(self):
-        missed = []
-        for g in range(622, 10**4 + 1):
-            first, last = _span(gregorian_to_hijri_year(g))
-            if not first <= g <= last:
-                missed.append(g)
-        assert missed == []
 
     def test_the_stated_hijri_limit_is_the_first_miss(self):
         # The docstrings state the overlap for h up to 455637, and no further:

@@ -81,18 +81,6 @@ def test_round_trip_sampled(n, script):
     assert parse_digits(render_digits(n, script), script) == n
 
 
-class TestGlyphPermutation:
-    def test_four_and_five_swap_shapes_only(self):
-        assert render_digits(4, O) == render_digits(5, W)
-        assert render_digits(5, O) == render_digits(4, W)
-        for d in (0, 1, 2, 3, 6, 7, 8, 9):
-            assert render_digits(d, O) == render_digits(d, W)
-
-    def test_values_are_preserved_across_scripts(self):
-        for d in range(10):
-            assert parse_digits(render_digits(d, O), O) == d
-
-
 class TestTransliterate:
     def test_examples(self):
         assert transliterate("1225", W, M) == "١٢٢٥"
@@ -258,15 +246,29 @@ def _reference_transliterate(text, src, dst):
     return "".join(out)
 
 
-# Glyphs of all three scripts, the separators, and characters int() would
-# accept around or inside digits: "_", "+", whitespace, Extended Arabic-Indic one.
-_SOUP = sorted(set("".join(_REF_GLYPHS.values()) + SEPARATORS + "_+ \t\n\u06f1"))
+# int() reads far more than the ten glyphs of a script, so the check before it
+# must reject all of these, and name the first one.
+_INT_DIGITS = (
+    "\u06f0\u06f1\u06f4\u06f5\u06f9"  # Persian (Extended Arabic-Indic)
+    "\uff10\uff11\uff14\uff15\uff19"  # fullwidth
+    "\u0966\u0967\u096a\u096f"  # Devanagari
+    "\u00b2_+- \t\n\u00a0\u3000"  # superscript two, underscore, signs, whitespace
+)
+# Glyphs of all three scripts, the separators, and the characters above.
+_SOUP = sorted(set("".join(_REF_GLYPHS.values()) + SEPARATORS + _INT_DIGITS))
 _scripts = st.sampled_from(list(DigitScript))
 
 
-def _texts(script, extra=""):
-    valid = st.text(alphabet=st.sampled_from(sorted(_REF_GLYPHS[script] + extra)), max_size=30)
-    return st.one_of(valid, st.text(alphabet=st.sampled_from(_SOUP), max_size=30))
+def _texts(script):
+    def drawn(extra):
+        chars = sorted(set(_REF_GLYPHS[script] + extra))
+        return st.text(alphabet=st.sampled_from(chars), max_size=30)
+
+    # Mostly the script's own glyphs, so a single intruder is often the only one.
+    return st.one_of(
+        drawn(""), drawn(SEPARATORS), drawn(_INT_DIGITS), drawn(SEPARATORS + _INT_DIGITS),
+        st.text(alphabet=st.sampled_from(_SOUP), max_size=30),
+    )
 
 
 @settings(max_examples=300)
@@ -281,76 +283,19 @@ def test_render_matches_the_digit_loop(n, script):
     assert outcome(render_digits, n, script) == outcome(_reference_render, n, script)
 
 
-@settings(max_examples=300)
+@settings(max_examples=700)
 @given(_scripts.flatmap(lambda script: st.tuples(st.just(script), _texts(script))))
 def test_parse_matches_the_digit_loop(drawn):
     script, text = drawn
     assert outcome(parse_digits, text, script) == outcome(_reference_parse, text, script)
 
 
-@settings(max_examples=300)
-@given(
-    _scripts.flatmap(lambda src: st.tuples(st.just(src), _texts(src, SEPARATORS))), _scripts
-)
+@settings(max_examples=700)
+@given(_scripts.flatmap(lambda src: st.tuples(st.just(src), _texts(src))), _scripts)
 def test_transliterate_matches_the_digit_loop(drawn, dst):
     src, text = drawn
     assert outcome(transliterate, text, src, dst) == outcome(
         _reference_transliterate, text, src, dst
-    )
-
-
-# -- the lstrip check against the deleting-table check it replaced -----------
-# int() reads far more than the ten glyphs of a script, so the check before it
-# must reject everything the deleting tables rejected, with the same message.
-
-_INT_DIGITS = (
-    "\u06f0\u06f1\u06f4\u06f5\u06f9"  # Persian (Extended Arabic-Indic)
-    "\uff10\uff11\uff14\uff15\uff19"  # fullwidth
-    "\u0966\u0967\u096a\u096f"  # Devanagari
-    "\u00b2_+- \t\n\u00a0\u3000"  # superscript two, underscore, signs, whitespace
-)
-
-
-def _deleting_parse(text, script):
-    if not text:
-        raise ValueError("empty digit string")
-    rest = text.translate(str.maketrans("", "", _REF_GLYPHS[script]))
-    if rest:
-        raise InvalidGlyph(f"{rest[0]!r} is not a {script.value} digit")
-    return int(text.translate(str.maketrans(_REF_GLYPHS[script], "0123456789")))
-
-
-def _deleting_transliterate(text, src, dst):
-    rest = text.translate(str.maketrans("", "", _REF_GLYPHS[src] + SEPARATORS))
-    if rest:
-        raise InvalidGlyph(f"{rest[0]!r} is not a {src.value} digit or separator")
-    return text.translate(str.maketrans(_REF_GLYPHS[src], _REF_GLYPHS[dst]))
-
-
-def _mixed_texts(script):
-    def drawn(extra):
-        chars = sorted(set(_REF_GLYPHS[script] + extra))
-        return st.text(alphabet=st.sampled_from(chars), min_size=1, max_size=20)
-
-    # Mostly the script's own glyphs, so a single intruder is often the only one.
-    return st.one_of(
-        drawn(""), drawn(SEPARATORS), drawn(_INT_DIGITS), drawn(SEPARATORS + _INT_DIGITS)
-    )
-
-
-@settings(max_examples=400)
-@given(_scripts.flatmap(lambda script: st.tuples(st.just(script), _mixed_texts(script))))
-def test_parse_matches_the_deleting_check(drawn):
-    script, text = drawn
-    assert outcome(parse_digits, text, script) == outcome(_deleting_parse, text, script)
-
-
-@settings(max_examples=400)
-@given(_scripts.flatmap(lambda src: st.tuples(st.just(src), _mixed_texts(src))), _scripts)
-def test_transliterate_matches_the_deleting_check(drawn, dst):
-    src, text = drawn
-    assert outcome(transliterate, text, src, dst) == outcome(
-        _deleting_transliterate, text, src, dst
     )
 
 

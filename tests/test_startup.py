@@ -231,32 +231,13 @@ def test_a_concurrent_first_use_sees_whole_tables():
 
 _GROUP_RACE = """\
 import random
-from abjadnum import Group, NumberReading, RankComponent, decompose, format_reading, reading
-from support import race
+from abjadnum import decompose, format_reading, reading
+from support import race, reference_decompose, reference_format
 
 THREADS, ROUNDS = 8, 50
 rng = random.Random(19)
 NUMBERS = [rng.randrange(10 ** rng.randint(1, 15)) for _ in range(200)] + [0, 10**12 + 5]
 results, errors, stuck = [], [], 0
-
-def rank_loop(n):
-    groups, rest = [], n
-    while True:
-        value = rest % 1000
-        components = tuple(
-            RankComponent(rank, value // scale % 10 * scale)
-            for rank, scale in (("units", 1), ("tens", 10), ("hundreds", 100))
-            if value // scale % 10
-        )
-        groups.append(Group(len(groups), value, components))
-        rest //= 1000
-        if not rest:
-            return NumberReading(n, tuple(groups))
-
-def spoken(got):
-    said = [" et ".join(str(c.value) for c in group.components) for group in got.groups]
-    return " ; ".join(f"{part} {LABELS[i]}" if LABELS[i] else part
-                      for i, part in enumerate(said) if part) or "0"
 
 def first_use(order):
     readings = {}
@@ -265,7 +246,8 @@ def first_use(order):
         readings[n] = got, format_reading(got, "rtl", LABELS)
     results.append(readings)
 
-EXPECTED = {n: (rank_loop(n), spoken(rank_loop(n))) for n in NUMBERS}
+EXPECTED = {n: (got, reference_format(got, "rtl", LABELS, False))
+            for n, got in zip(NUMBERS, map(reference_decompose, NUMBERS))}
 calls = differing = unshared = 0
 # Each round empties the group, components and speech tables, so that their
 # first use races again; each thread reads the numbers in its own order, so
