@@ -68,19 +68,22 @@ places (one made only of ignored characters counts 0), and neither shared
 table ever holds an ignored character.  ``ignore``, like every ``str``
 argument, is read as the ``errors`` module docstring says.
 
-Each memo is emptied when it reaches 2**14 words, and a token longer than
-64 codepoints is summed but not stored.  At that bound, measured with
-tracemalloc on CPython 3.10-3.13, a full memo of 8-letter words holds
-2.4-2.9 MiB and, at worst (64-codepoint tokens stored four bytes a
-codepoint), 6.2-6.6 MiB, so an alphabet's two memos hold at most about
-13 MiB.  Both bounds are chosen, not tuned.  Timed against a memo of bare
-values paired with their tokens on every call (CPython 3.10-3.13, a
-shared 2-vCPU VM), text whose words never repeat takes 0.99-1.04 of the
-time without an ignore set and 0.91-0.94 with one.  A text read once,
-cold, takes 0.94-1.00 of the time, and 1.04 on CPython 3.10: a word met
-both with and without an ignore set is summed once in each memo.  A caller
-that alternates two ignore sets on every call takes 2.9-3.1 times as long,
-since each such call builds a new memo and table copy.
+Each memo is emptied by a miss that finds it holding 2**14 words, and a
+token longer than 64 codepoints is summed but not stored.  The bound is a
+length check, a clear and a store, not a lock: threads that miss together
+can each store one word past it, and the next miss empties the memo.  At
+that bound, measured with tracemalloc on CPython 3.10-3.13, a full memo of
+8-letter words holds 2.4-2.9 MiB and, at worst (64-codepoint tokens stored
+four bytes a codepoint), 6.2-6.6 MiB, so an alphabet's two memos hold at
+most about 13 MiB.  Both bounds are chosen, not tuned.  Timed against a
+memo of bare values paired with their tokens on every call (CPython
+3.10-3.13, a shared 2-vCPU VM), text whose words never repeat takes
+0.99-1.04 of the time without an ignore set and 0.91-0.94 with one.  A
+text read once, cold, takes 0.94-1.00 of the time, and 1.04 on CPython
+3.10: a word met both with and without an ignore set is summed once in
+each memo.  A caller that alternates two ignore sets on every call takes
+2.9-3.1 times as long, since each such call builds a new memo and table
+copy.
 """
 
 from operator import itemgetter

@@ -15,12 +15,18 @@ first ``digit_provenance`` call, not at import, and each row's letter name
 is looked up among the ``letters()`` of the alphabet that row names.
 
 Rendering and transliteration go through ``str.translate`` tables built at
-import, one per script pair.  A text is first checked with ``str.lstrip``
-of every character its script accepts (the ten glyphs, and for
-transliterate the separators): what is left starts with the first invalid
-glyph, which InvalidGlyph names.  Only then does parsing call ``int()``: it
-reads Western and Arabic-Indic digits, but other decimal digits, signs, "_"
-and whitespace too.  Maghrebi proxy glyphs get 4 and 5 swapped back first.
+import: none from a script to itself, a tuple indexed by ordinal from an
+ASCII script (Western, Maghrebi), a dict from Mashreki.  A tuple is read
+without hashing and maps each separator to itself, where a dict raises and
+clears a KeyError for it; from Mashreki it would need 1642 entries
+(``BENCH_38.json`` holds the figures).
+
+A text is first checked with ``str.lstrip`` of every character its script
+accepts (the ten glyphs, and for transliterate the separators): what is
+left starts with the first invalid glyph, which InvalidGlyph names.  Only
+then does parsing call ``int()``: it reads Western and Arabic-Indic
+digits, but other decimal digits, signs, "_" and whitespace too.  Maghrebi
+proxy glyphs get 4 and 5 swapped back first.
 
 A number has at most as many digits as the interpreter converts between
 int and str (4300 unless raised with ``sys.set_int_max_str_digits``): past
@@ -57,13 +63,30 @@ _GLYPHS = {
 # Non-digit codepoints passed through untouched by transliterate().
 SEPARATORS = " .,-/"
 
+# Every character up to "9".  Each character an ASCII script accepts (its
+# glyphs and SEPARATORS) is one of them, so this tuple with the script's
+# glyphs replaced is the whole table from that script.
+_IDENTITY = tuple(map(chr, range(ord("9") + 1)))
+
+
+def _table(src_glyphs: str, dst_glyphs: str):
+    """The str.translate table from one script's glyphs to another's."""
+    if not src_glyphs.isascii():
+        return str.maketrans(src_glyphs, dst_glyphs)
+    table = [*_IDENTITY]
+    for glyph, to in zip(src_glyphs, dst_glyphs):
+        table[ord(glyph)] = to
+    return tuple(table)
+
+
 # _TRANSLATE[src] is (accepted, to_dst): accepted holds the glyphs of src and
 # the separators, and to_dst[dst] maps each glyph of src to the value-equal
-# glyph of dst.
+# glyph of dst, or is None when dst is src.
 _TRANSLATE = {
     src: (
         src_glyphs + SEPARATORS,
-        {dst: str.maketrans(src_glyphs, dst_glyphs) for dst, dst_glyphs in _GLYPHS.items()},
+        {dst: None if dst is src else _table(src_glyphs, dst_glyphs)
+         for dst, dst_glyphs in _GLYPHS.items()},
     )
     for src, src_glyphs in _GLYPHS.items()
 }
@@ -108,9 +131,10 @@ def render_digits(n: int, script: DigitScript) -> str:
     table = (_RENDER[script] if type(script) is DigitScript
              else lookup(_RENDER, script, "script", "a DigitScript"))
     try:
-        return int.__repr__(n).translate(table)
+        text = repr(n)  # n is an exact int by now
     except ValueError:  # past the interpreter's int-to-str digit limit
         raise digit_limit("n", "rendered") from None
+    return text if table is None else text.translate(table)
 
 
 def parse_digits(text: str, script: DigitScript) -> int:
@@ -144,7 +168,7 @@ def transliterate(text: str, src: DigitScript, dst: DigitScript) -> str:
     rest = text.lstrip(accepted)
     if rest:
         raise InvalidGlyph(f"{rest[0]!r} is not a {src.value} digit or separator")
-    return text.translate(table)
+    return text if table is None else text.translate(table)
 
 
 def digit_provenance(digit: int, script: DigitScript) -> DigitProvenance:

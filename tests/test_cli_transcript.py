@@ -5,7 +5,10 @@ code, stdout and stderr they gave.  argparse wraps its usage text to the
 terminal width, so for a row that argparse rejects (stderr starting with
 ``usage: ``) stderr is compared as its words, with each run of whitespace
 taken as one break: the usage line and the error line are both checked,
-whatever the width and the interpreter.
+whatever the width and the interpreter.  Inside ``(choose from ...)`` the
+quotes around each choice are dropped on both sides, since argparse writes
+them on some interpreters and not on others; the rejected value is
+compared as written.
 
 ``python tests/test_cli_transcript.py`` rewrites the file from the CLI as it
 stands, keeping each row's argv and stdin.  The file is the one table of CLI
@@ -13,12 +16,16 @@ input -> output examples.
 """
 
 import json
+import re
 import sys
 from pathlib import Path
 
 from support import run_cli
 
 TRANSCRIPT = Path(__file__).parent / "data" / "cli_transcript.json"
+
+_CHOICES = re.compile(r"\(choose from [^)]*\)")
+_QUOTED = re.compile(r"'([^']*)'")
 
 
 def run(argv: list[str], stdin: str) -> dict:
@@ -55,11 +62,16 @@ def pytest_generate_tests(metafunc):
         metafunc.parametrize("expected", rows, ids=[_row_id(row) for row in rows])
 
 
+def _usage_words(stderr: str) -> list[str]:
+    """The words of an argparse usage error, each listed choice unquoted."""
+    return _CHOICES.sub(lambda choices: _QUOTED.sub(r"\1", choices[0]), stderr).split()
+
+
 def test_row(expected):
     got = run(expected["argv"], expected["stdin"])
     if expected["stderr"].startswith("usage: ") and got["stderr"].startswith("usage: "):
-        got["stderr"] = got["stderr"].split()
-        expected = {**expected, "stderr": expected["stderr"].split()}
+        got["stderr"] = _usage_words(got["stderr"])
+        expected = {**expected, "stderr": _usage_words(expected["stderr"])}
     assert got == expected
 
 

@@ -529,9 +529,12 @@ _HOT_CALLS = [
     ("gematria", abjadnum.gematria, ("احمد زينب", A)),
     ("gematria-ignore", abjadnum.gematria, ("احمد، زينب", A, "،")),
     ("render_digits", abjadnum.render_digits, (1234, DigitScript.MASHREKI_EASTERN)),
+    ("render_digits-no-table", abjadnum.render_digits, (1234, W)),
     ("parse_digits", abjadnum.parse_digits, ("١٢", DigitScript.MASHREKI_EASTERN)),
     ("parse_digits-original", abjadnum.parse_digits, ("1254", O)),
     ("transliterate", abjadnum.transliterate, ("12/4", W, O)),
+    ("transliterate-no-table", abjadnum.transliterate, ("12/4", W, W)),
+    ("transliterate-dict", abjadnum.transliterate, ("١٢/٤", DigitScript.MASHREKI_EASTERN, W)),
     ("digit_provenance", abjadnum.digit_provenance, (4, O)),
     ("decompose", abjadnum.decompose, (12_457_892,)),
     ("format_reading-rtl", abjadnum.format_reading, (_READ,)),
