@@ -1,14 +1,16 @@
 """Command-line front end: one subcommand per library operation.
 
-Results print bare to stdout (or as one JSON object with --json); domain
-errors print to stderr as ``ERROR <code>: <detail>``.  The input comes from
-the final positional argument, or stdin when it is absent.  Stdin is read as
-UTF-8; one leading byte-order mark (U+FEFF, which some editors write) is
-dropped, then the whitespace around the input.  Exit status:
+Results and help print to stdout, a result bare or as one JSON object with
+--json; an error prints one line to stderr, a domain error as ``ERROR
+<code>: <detail>``.  ``_write`` prints every line: with stderr closed or
+unwritable, an error still exits 1 or 2 and prints nothing on stdout.  The
+input comes from the final positional argument, or stdin when it is absent.
+Stdin is read as UTF-8; one leading byte-order mark (U+FEFF, which some
+editors write) is dropped, then the whitespace around the input.  Exit status:
 
 - 0: a result or help was written;
-- 1: a domain error, or stdout gone or closed (nothing more is printed);
-- 2: a usage error, stdin closed with no value, or stdin that is not UTF-8.
+- 1: a domain error, or stdout gone, closed or unwritable (nothing is printed);
+- 2: a usage error, stdin closed with no value, or argv or stdin not UTF-8.
 
 Each subcommand's options are declared once, in ``_options``: spelling,
 dest, choices, default and required flag.  ``build_parser`` and
@@ -18,7 +20,7 @@ within its choices, at most one value, and no argument that starts with
 ``-``) is read by ``_parse_exact``: it builds no parser and loads no
 argparse.  Any other argv (``-h``, an abbreviated option, ``--opt=value``,
 ``--``, a usage error) goes to argparse, so every help and error text is
-argparse's.
+argparse's; what it prints is captured and written as a result or an error.
 
 That fallback builds all seven subparsers, so it also imports ``digits``
 and ``reading`` for their options' choices.  Importing this module loads
@@ -166,7 +168,7 @@ def _run(args) -> tuple[str, dict]:
     if command == "read":
         from . import reading
 
-        labels = tuple(args.labels.split(",")) if args.labels else reading.DEFAULT_LABELS
+        labels = reading.DEFAULT_LABELS if args.labels is None else tuple(args.labels.split(","))
         decomposed = reading.decompose(given)
         text = reading.format_reading(
             decomposed, args.direction, labels=labels, figure_exact=args.figure_exact
@@ -250,16 +252,16 @@ def _utf8_streams():
             stream.reconfigure(encoding="utf-8")
 
 
-def _write(text: str) -> int:
-    """Write and flush text to stdout: 0, or 1 if stdout is closed or its reader gone."""
-    if sys.stdout is None:
+def _write(stream, text: str) -> int:
+    """Write and flush text: 0, or 1 if the stream is closed, unwritable or its reader gone."""
+    if stream is None:
         return 1
     try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
-    except BrokenPipeError:
+        stream.write(text)
+        stream.flush()
+    except OSError:
         # As the Python docs' note on SIGPIPE: the flush at exit then fails no more.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
         return 1
     return 0
 
@@ -267,29 +269,29 @@ def _write(text: str) -> int:
 def main(argv=None) -> int:
     _utf8_streams()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _parse_exact(argv)
-    if args is None:
-        import contextlib
-        import io
-
-        # argparse writes only help to stdout, and then exits 0.
-        helped = io.StringIO()
-        try:
-            with contextlib.redirect_stdout(helped):
-                args = build_parser().parse_args(argv)
-        except SystemExit:
-            if helped.getvalue() and _write(helped.getvalue()):
-                return 1
-            raise
     try:
+        for arg in argv:  # an argv byte that is not UTF-8 arrives as a lone surrogate
+            arg.encode("utf-8")
+        args = _parse_exact(argv)
+        if args is None:
+            import contextlib
+            import io
+
+            # argparse prints help and exits 0, or prints a usage error and exits 2.
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+                args = build_parser().parse_args(argv)
         text, payload = _run(args)
+        code, out = 0, (_json(payload) if args.json else text) + "\n"
+    except SystemExit as exit_:
+        code, out = exit_.code, printed.getvalue()
     except NumeralError as err:
-        print(f"ERROR {err.code}: {err}", file=sys.stderr)
-        return 1
+        code, out = 1, f"ERROR {err.code}: {err}\n"
     except ValueError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 2
-    return _write((_json(payload) if args.json else text) + "\n")
+        code, out = 2, f"usage error: {err}\n"
+    # Results and help go to stdout; an error exits 1 or 2 whatever its write gives.
+    written = _write(sys.stderr if code else sys.stdout, out)
+    return code or written
 
 
 if __name__ == "__main__":

@@ -25,10 +25,11 @@ emptied, so each such id names a live tuple, and text, a pure function of
 the immutable letters, is joined once per value; a record whose letters are
 any other object (built by hand or unpickled) joins them on each read.  The
 tables hold at most 1999 + 499 records, bounded by the values, not by the
-inputs: filled, with their texts, they hold 0.77-0.81 MiB (tracemalloc,
-CPython 3.10-3.13).  Against building the record and joining its text on
-every call, a warm ``encode(n, alphabet).text`` takes 0.39-0.50 of the
-time, and a warm pass of the benchmark's ``numbers`` workload 0.92-0.93.
+inputs.  A warm ``encode(n, alphabet).text`` looks up the stored record
+and its text, where it would otherwise build the record and join its text
+on every call.  CHANGES.md records what that saves, in the entry that made
+encode share its records, and what the filled tables hold, in the entry
+that built encode from strict decode's band split.
 
 Decoding and gematria count letters only.  A character is skipped when it
 is whitespace, the tatweel (U+0640, elongation), a combining mark
@@ -50,9 +51,8 @@ stored.  The rule answers whitespace and ``_MARKS``, the tatweel and the
 an assigned character's canonical combining class never changes.  It
 imports ``unicodedata`` for any other character, so a text of letters,
 whitespace and the marks of the two scripts never loads it.  In a fresh
-process (CPython 3.10-3.13, a shared 2-vCPU VM, the median of 41 each)
-that import costs 0.28-0.44 ms, against about 15 us for ``_MARKS`` at
-import.
+process that import costs more than building ``_MARKS`` at import does;
+CHANGES.md records both, in the entry that wrote out the ranges.
 
 The word memo maps a gematria token to its finished ``per_word`` entry,
 the pair ``(token, value)``, whose first field is the key itself.  A word
@@ -72,18 +72,14 @@ Each memo is emptied by a miss that finds it holding 2**14 words, and a
 token longer than 64 codepoints is summed but not stored.  The bound is a
 length check, a clear and a store, not a lock: threads that miss together
 can each store one word past it, and the next miss empties the memo.  At
-that bound, measured with tracemalloc on CPython 3.10-3.13, a full memo of
-8-letter words holds 2.4-2.9 MiB and, at worst (64-codepoint tokens stored
-four bytes a codepoint), 6.2-6.6 MiB, so an alphabet's two memos hold at
-most about 13 MiB.  Both bounds are chosen, not tuned.  Timed against a
-memo of bare values paired with their tokens on every call (CPython
-3.10-3.13, a shared 2-vCPU VM), text whose words never repeat takes
-0.99-1.04 of the time without an ignore set and 0.91-0.94 with one.  A
-text read once, cold, takes 0.94-1.00 of the time, and 1.04 on CPython
-3.10: a word met both with and without an ignore set is summed once in
-each memo.  A caller that alternates two ignore sets on every call takes
-2.9-3.1 times as long, since each such call builds a new memo and table
-copy.
+that bound an alphabet's two memos hold at most about 13 MiB, with every
+token at 64 codepoints stored four bytes a codepoint.  Both bounds are
+chosen, not tuned.  A word met both with and without an ignore set is
+summed once in each memo, and a caller that alternates two ignore sets
+pays for a new memo and table copy on every call.  CHANGES.md records what
+a full memo holds and what the memos cost, against pairing bare values
+with their tokens on every call, in the entry that made gematria hand out
+memoised pairs.
 """
 
 from operator import itemgetter

@@ -78,6 +78,53 @@ def test_a_closed_stdout_exits_1_and_prints_nothing(argv):
     assert (proc.returncode, proc.stderr) == (1, b"")
 
 
+@pytest.mark.parametrize("argv", [["hijri", "1225"], ["-h"]], ids=["result", "help"])
+def test_an_unwritable_stdout_exits_1_and_prints_nothing(argv):
+    # As `abjadnum hijri 1225 1</dev/null`: fd 1 is open for reading only.
+    proc = subprocess.run([sys.executable, "-m", "abjadnum", *argv],
+                          stdin=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          preexec_fn=lambda: os.dup2(os.open(os.devnull, os.O_RDONLY), 1),
+                          timeout=60)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+# fd 2 closed (`2>&-`), so sys.stderr is None; or open for reading only, as a
+# wrapper's shell can leave it after `2>&-`, so every write to it fails.
+_UNWRITABLE_STDERR = {"closed": lambda: os.close(2),
+                      "read-only": lambda: os.dup2(os.open(os.devnull, os.O_RDONLY), 2)}
+
+
+@pytest.mark.parametrize("stderr", list(_UNWRITABLE_STDERR))
+@pytest.mark.parametrize("argv, code, out", [
+    (["hijri", "x"], 1, ""), (["hijri", ""], 2, ""), (["frob"], 2, ""),
+    (["hijri", "1225"], 0, "1810\n"), (["-h"], 0, None),
+], ids=["domain-error", "usage-error", "argparse-error", "result", "help"])
+def test_an_unwritable_stderr_keeps_the_exit_status_and_prints_no_error_on_stdout(
+        argv, code, out, stderr, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to it, here and in the child
+    proc = subprocess.run([sys.executable, "-m", "abjadnum", *argv],
+                          stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                          preexec_fn=_UNWRITABLE_STDERR[stderr], timeout=60)
+    if out is None:
+        out = build_parser().format_help()
+    assert (proc.returncode, proc.stdout.decode("utf-8")) == (code, out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["read", "--labels", b",\xff", "1000"], ["read", "--labels", b"a,\xff", "--json", "1000"],
+    ["hijri", b"\xff"],
+], ids=["labels", "labels-json", "value"])
+def test_an_argument_that_is_not_utf8_is_a_usage_error(argv):
+    # A real process: the StringIO of an in-process run would take the lone
+    # surrogate that Python carries such a byte as.
+    proc = subprocess.run([sys.executable, "-m", "abjadnum", *argv], stdin=subprocess.DEVNULL,
+                          capture_output=True, env={**os.environ, "PYTHONUTF8": "1"},
+                          timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.startswith(b"usage error: 'utf-8' codec can't encode character '\\udcff'")
+    assert proc.stderr.count(b"\n") == 1
+
+
 def _oracle(result):
     """The JSON-ready values that json.dumps was given before the CLI wrote
     its own JSON: records become dicts, tuples lists."""

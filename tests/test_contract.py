@@ -164,13 +164,15 @@ def test_public_classes_are_total(name, data):
 # -- the CLI -----------------------------------------------------------------
 
 _NUMBER_COMMANDS = ("encode", "read", "provenance", "hijri")
+_NOT_UTF8 = "\udcff"  # the lone surrogate that Python decodes an argv byte 0xff to
 _OPTIONS = {
     "encode": [("--alphabet", ["arabic", "hebrew"])],
     "decode": [("--alphabet", ["arabic", "hebrew"]), ("--strict", None)],
     "gematria": [("--alphabet", ["arabic", "hebrew"])],
     "translit": [("--from", ["western", "mashreki", "original"]),
                  ("--to", ["western", "mashreki", "original"])],
-    "read": [("--direction", ["rtl", "ltr"]), ("--labels", [",mille", "", "a,b,c,d,e"]),
+    "read": [("--direction", ["rtl", "ltr"]),
+             ("--labels", [",mille", "", "a,b,c,d,e", ",mille" + _NOT_UTF8]),
              ("--figure-exact", None)],
     "provenance": [("--script", ["western", "mashreki", "original"])],
     "hijri": [("--reverse", None)],
@@ -207,6 +209,8 @@ def _argvs(draw):
         argv.append(draw(st.sampled_from(["--bogus", "-x", "--", "--json"])))
     value = draw(_NUMBERS if command in _NUMBER_COMMANDS else _VALUES)
     if draw(st.booleans()):
+        if _rarely(draw):  # an argv byte that is not UTF-8, as Python carries it
+            value += _NOT_UTF8
         return argv + [value], "", value
     return argv, value, value.strip()
 
@@ -218,6 +222,9 @@ def test_cli_exits_0_1_or_2_and_reads_numbers_strictly(drawn):
     code, out, err = run_cli(argv, stdin)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+    if any(_NOT_UTF8 in arg for arg in argv):
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("usage error: 'utf-8' codec can't encode"), err
     if code == 0 and argv[0] in _NUMBER_COMMANDS:
         assert value.isascii() and value.isdigit(), value
 
