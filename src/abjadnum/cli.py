@@ -271,7 +271,11 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         for arg in argv:  # an argv byte that is not UTF-8 arrives as a lone surrogate
-            arg.encode("utf-8")
+            try:
+                arg.encode("utf-8")
+            except UnicodeEncodeError:
+                raw = arg.encode("utf-8", "surrogateescape")
+                raise ValueError(f"argument {raw!r} is not UTF-8") from None
         args = _parse_exact(argv)
         if args is None:
             import contextlib

@@ -79,7 +79,8 @@ summed once in each memo, and a caller that alternates two ignore sets
 pays for a new memo and table copy on every call.  CHANGES.md records what
 a full memo holds and what the memos cost, against pairing bare values
 with their tokens on every call, in the entry that made gematria hand out
-memoised pairs.
+memoised pairs.  The README states what threads that make a first call
+together get from these tables.
 """
 
 from operator import itemgetter

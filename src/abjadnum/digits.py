@@ -12,7 +12,8 @@ Each digit of each script descends from one Arabic or Hebrew letter; the
 provenance table ships as a TSV next to this module (script, digit, source
 alphabet, source letter name, transformation note).  It is read on the
 first ``digit_provenance`` call, not at import, and each row's letter name
-is looked up among the ``letters()`` of the alphabet that row names.
+is looked up among the ``letters()`` of the alphabet that row names.  The
+README states what threads that make that first call together get.
 
 Rendering and transliteration go through ``str.translate`` tables built at
 import: none from a script to itself, a tuple indexed by ordinal from an

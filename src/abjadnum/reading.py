@@ -15,7 +15,8 @@ A Group is fixed by its index and value, so the groups of the indices the
 default labels can name (0..3) are shared the same way: one table per index,
 each filled on first use and holding at most 1000 records.  A group past
 index 3 is built afresh by each call and stored nowhere, so the tables stay
-bounded however large n is.
+bounded however large n is.  The README states what threads that make a
+first call together get from these tables.
 """
 
 from collections.abc import Sequence

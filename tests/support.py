@@ -1,25 +1,28 @@
 """One helper per job the tests share: in-process CLI runs, fresh
-interpreters, outcome checks against an oracle, and thread races.
+interpreters, outcome checks against an oracle, thread races and the rounds
+of one.
 
 No ``abjadnum`` module is imported here at the top level: a ``fresh`` child
 imports this module for ``race``, and some children count what ``sys.modules``
 holds.
 """
 
+import ast
 import contextlib
+import importlib
 import io
 import os
 import subprocess
 import sys
 import threading
 import types
+import typing
 
 
 def run_cli(argv, stdin=""):
     """The exit code, stdout and stderr of one in-process ``cli.main(argv)``.
 
     `stdin` is text (read as UTF-8), bytes, or None for a closed stdin.
-    argparse's ``SystemExit`` gives its exit code.
     """
     from abjadnum.cli import main
 
@@ -30,10 +33,7 @@ def run_cli(argv, stdin=""):
     sys.stdin = None if stdin is None else types.SimpleNamespace(buffer=io.BytesIO(stdin))
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exit_:  # argparse's usage errors and help
-                code = exit_.code
+            code = main(argv)
     finally:
         sys.stdin = saved
     return code, out.getvalue(), err.getvalue()
@@ -94,6 +94,73 @@ def race(work, args):
     finally:
         sys.setswitchinterval(interval)
     return errors, sum(thread.is_alive() for thread in threads)
+
+
+# The name that stands, among the tables a race restores, for the package's
+# own globals, where each lazy name is bound on its first use.
+PACKAGE = "abjadnum"
+
+
+class Race(typing.NamedTuple):
+    """A thread race: `script` runs in a fresh interpreter and prints the
+    summary of ``race_rounds`` over TABLES, bound to `tables`.
+
+    The tables a first call fills are checked against those that the Race of
+    each test module names.
+    """
+
+    tables: tuple
+    script: str
+
+    def run(self, **names):
+        return ast.literal_eval(fresh(self.script, TABLES=self.tables, **names))
+
+
+def race_rounds(call, orders, rounds, tables, expected=None, check=None):
+    """Race the first calls `rounds` times over; the summary of all rounds.
+
+    Each round first puts back each table named in `tables`
+    (``"codec._TEXTS"`` is ``abjadnum.codec._TEXTS``), and each dict it
+    holds, as the first round found them: in a fresh interpreter that has
+    made no call yet, as import left them.  PACKAGE is put back by importing
+    the package afresh.  Then `race` releases one thread per order, which
+    calls ``call(key)`` for each key of its order.  Each outcome is compared
+    with ``expected[key]``, or with that of one more call made alone after
+    the round when `expected` is None, and ``check(outs, expected)`` gets
+    each finished thread's {key: outcome} and returns the faults it finds.
+    """
+    saved = [(table, dict(table)) for name in tables if name != PACKAGE
+             for table in _dicts(name)]
+    errors, faults, stuck, calls, differing = [], [], 0, 0, 0
+    for _ in range(rounds):
+        if PACKAGE in tables:
+            for name in [name for name in sys.modules if name.split(".")[0] == PACKAGE]:
+                del sys.modules[name]
+            importlib.import_module(PACKAGE)
+        for table, items in saved:
+            table.clear()
+            table.update(items)
+        outs = []
+        raised, alive = race(lambda order: outs.append({key: call(key) for key in order}),
+                             [(order,) for order in orders])
+        errors += raised
+        stuck += alive
+        calls += len(outs)
+        alone = ({key: call(key) for order in orders for key in order} if expected is None
+                 else expected)
+        differing += sum(got != alone[key] for out in outs for key, got in out.items())
+        if check is not None:
+            faults += check(outs, alone)
+    return dict(errors=sorted(set(errors)), stuck=stuck, calls=calls, differing=differing,
+                faults=sorted(set(faults), key=repr))
+
+
+def _dicts(name):
+    """The named table, if a dict, and each dict it holds."""
+    module, _, attr = name.rpartition(".")
+    table = getattr(importlib.import_module(f"{PACKAGE}.{module}"), attr)
+    return [held for held in (table, *(table.values() if isinstance(table, dict) else table))
+            if isinstance(held, dict)]
 
 
 def reference_decompose(n):

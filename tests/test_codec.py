@@ -7,7 +7,6 @@ the canonical words cover 1..1999 (Arabic) and 1..499 (Hebrew) exactly
 once each, and pins what encode() must return.
 """
 
-import ast
 import copy
 import itertools
 import pickle
@@ -34,7 +33,7 @@ from abjadnum import (
     letters,
 )
 from abjadnum import codec
-from support import fresh, outcome, race
+from support import Race, outcome
 
 
 _RANK_BANDS = ((1, 9), (10, 90), (100, 900), (1000, 1000))
@@ -123,60 +122,33 @@ class _Int(int):
     pass
 
 
-# Run in a fresh interpreter, where every table is empty: each value's first
-# encode builds its record, so its first text is the one the miss stored.
-_COLD_TEXTS = """
-from abjadnum import Alphabet, codec, encode
-assert not codec._TEXTS and not any(codec._NUMERALS.values())
-wrong = []
-for alphabet in Alphabet:
-    for n in range(1, codec.MAX_ENCODABLE[alphabet] + 1):
-        numeral = encode(n, alphabet)
-        joined = "".join([letter.codepoint for letter in numeral.letters])
-        first = numeral.text
-        second = numeral.text
-        if (first, second) != (joined, joined):
-            wrong.append((alphabet.name, n, first, second, joined))
-print(len(codec._TEXTS), wrong)
-"""
-
-
-# Run in a fresh interpreter: threads, more than there are cores, walk every
-# value in one order, so that they miss on the same value together, switching
-# as often as the interpreter allows.  Each value must come out as one
-# record, and each kept text must belong to the letters of a stored record:
-# a text kept for a record that lost setdefault would name a freed tuple.
-# Each round starts from empty tables, the texts emptied with them.
-_COLD_THREADS = """
+# Threads, more than there are cores, walk every value in one order, so that
+# they miss on the same value together, each round from empty tables.  Each
+# value must come out as one record, and each kept text must be the joined
+# letters of a stored record: a text kept for a record that lost setdefault
+# would name a freed tuple.
+_ENCODE_RACE = Race(("codec._NUMERALS", "codec._TEXTS"), """\
 import random
 from abjadnum import codec, encode
-from support import race
-calls = [(n, a) for a, limit in codec.MAX_ENCODABLE.items() for n in range(1, limit + 1)]
-random.Random(1).shuffle(calls)
+from support import race_rounds
 
-for _ in range(4):
-    for table in codec._NUMERALS.values():
-        table.clear()
-    codec._TEXTS.clear()
-    got = []
-    assert race(lambda: got.append({call: encode(*call) for call in calls}), [()] * 8) == ([], 0)
-    stored = {(n, a): numeral for a, table in codec._NUMERALS.items()
-              for n, numeral in table.items()}
-    assert len(got) == 8 and len(stored) == len(calls)
-    assert all(numerals[call] is stored[call] for numerals in got for call in calls)
-    assert set(codec._TEXTS) == {id(numeral.letters) for numeral in stored.values()}
-    assert all(numeral.text == "".join([x.codepoint for x in numeral.letters])
-               for numeral in stored.values())
-print("ok")
-"""
+CALLS = [(n, a) for a, limit in codec.MAX_ENCODABLE.items() for n in range(1, limit + 1)]
+random.Random(1).shuffle(CALLS)
+
+def check(outs, expected):
+    letters = [numeral.letters for table in codec._NUMERALS.values() for numeral in table.values()]
+    texts = {id(word): "".join([x.codepoint for x in word]) for word in letters}
+    return [f"{n} {a.name} unshared" for out in outs for (n, a), numeral in out.items()
+            if numeral is not expected[n, a]] + (["texts"] if codec._TEXTS != texts else [])
+
+print(repr(race_rounds(lambda call: encode(*call), [CALLS] * 8, 4, TABLES, check=check)))
+""")
 
 
 class TestSharedNumerals:
-    def test_every_first_text_is_its_letters_joined(self):
-        assert fresh(_COLD_TEXTS) == f"{sum(MAX_ENCODABLE.values())} []\n"
-
     def test_threads_that_miss_together_share_one_record(self):
-        assert fresh(_COLD_THREADS) == "ok\n"
+        assert _ENCODE_RACE.run() == dict(errors=[], stuck=0, calls=8 * 4, differing=0,
+                                          faults=[])
 
     @pytest.mark.parametrize("alphabet", list(Alphabet))
     def test_encode_hands_out_one_record_per_value(self, alphabet):
@@ -186,16 +158,6 @@ class TestSharedNumerals:
         table = codec._NUMERALS[alphabet]
         assert sorted(table) == list(range(1, MAX_ENCODABLE[alphabet] + 1))
         assert all(type(n) is int for n in table)
-
-    def test_each_kept_text_belongs_to_a_stored_record(self):
-        for alphabet in Alphabet:
-            for n in range(1, MAX_ENCODABLE[alphabet] + 1):
-                encode(n, alphabet)
-        stored = [numeral.letters for table in codec._NUMERALS.values()
-                  for numeral in table.values()]
-        assert set(codec._TEXTS) == set(map(id, stored))
-        for letters_ in stored:
-            assert codec._TEXTS[id(letters_)] == "".join([x.codepoint for x in letters_])
 
     def test_a_hand_built_numeral_joins_its_own_letters(self):
         A = Alphabet.ARABIC
@@ -575,17 +537,6 @@ class TestMarks:
                         _reference_decode, letter + ch, alphabet, strict
                     ), (alphabet, hex(ord(ch)))
 
-    def test_import_stores_the_letters_alone(self):
-        # The marks are stored on their first miss, never at import.
-        seen = fresh(
-            "from abjadnum import codec\n"
-            "print(repr({a.name: sorted(table) for a, table in codec._VALUES.items()}))\n"
-        )
-        assert ast.literal_eval(seen) == {
-            alphabet.name: sorted(cp for letter in letters(alphabet) for cp in letter.codepoints)
-            for alphabet in Alphabet
-        }
-
 
 _skippable_marks = (
     [chr(cp) for cp in range(0x064B, 0x0653)]  # Arabic harakat and shadda
@@ -668,6 +619,62 @@ def test_an_ignore_set_of_a_str_subclass_is_applied_as_its_characters(kind):
         gematria("ا!", Alphabet.ARABIC, ignore=kind(""))
 
 
+def _literal(result):
+    """An outcome as a literal: an error by its class name, a result as a plain tuple."""
+    kind, value = result
+    if kind != "value":
+        return kind.__name__, value
+    return kind, value if isinstance(value, int) else tuple(value)
+
+
+# Eight threads, in a fresh interpreter, each make the codec calls of their own
+# order, 50 rounds over.  A call is (function name, text, alphabet name, strict
+# or ignore).  Each round starts from the value tables of the letters alone and
+# empty word memos, as import leaves them, so that every call misses again; a
+# memo holds MEMO_ENTRIES words, when that is not None.  After each round the
+# value tables hold, past the letters, the SKIPPED characters alone, each as
+# 0, and each alphabet's ignore-set memo is that of a set its calls named, or
+# the plain memo when they named none.
+_CODEC_RACE = Race(("codec._VALUES", "codec._WORDS", "codec._IGNORING"), """\
+from abjadnum import Alphabet, codec, decode, gematria
+from support import race_rounds
+
+LETTERS = {alphabet: set(table) for alphabet, table in codec._VALUES.items()}
+FUNCTIONS = {"decode": decode, "gematria": gematria}
+IGNORED = {alphabet: {call[3] for order in ORDERS for call in order
+                      if call[0] == "gematria" and call[2] == alphabet.name and call[3]} or {""}
+           for alphabet in Alphabet}
+if MEMO_ENTRIES is not None:
+    codec._MEMO_ENTRIES = MEMO_ENTRIES
+
+def outcome(call):
+    name, text, alphabet, option = call
+    try:
+        return "value", FUNCTIONS[name](text, Alphabet[alphabet], option)
+    except ValueError as err:
+        return type(err).__name__, str(err)
+
+def check(outs, expected):
+    met = {(alphabet.name, ch, table[ch]) for alphabet, table in codec._VALUES.items()
+           for ch in set(table) - LETTERS[alphabet]}
+    return list(met ^ set(SKIPPED)) + [(alphabet.name, memo.ignore)
+                                       for alphabet, memo in codec._IGNORING.items()
+                                       if memo.ignore not in IGNORED[alphabet]]
+
+print(repr(race_rounds(outcome, ORDERS, 50, TABLES, EXPECTED, check)))
+""")
+
+
+def _race_codec(orders, skipped=(), memo_entries=None):
+    """The summary of `_CODEC_RACE` over `orders`, each call's outcome expected as
+    the reference's."""
+    references = {"decode": _reference_decode, "gematria": _reference_gematria}
+    expected = {call: _literal(outcome(references[call[0]], call[1], Alphabet[call[2]], call[3]))
+                for order in orders for call in order}
+    return _CODEC_RACE.run(ORDERS=orders, EXPECTED=expected, SKIPPED=sorted(skipped),
+                           MEMO_ENTRIES=memo_entries)
+
+
 def test_threads_with_their_own_ignore_sets_share_one_alphabet():
     marks = "!?.،؛"
     sets = ["!", "?", ".", "،", "؛", "!?", "ا.", "ب،؛"]
@@ -681,78 +688,10 @@ def test_threads_with_their_own_ignore_sets_share_one_alphabet():
         for _ in range(40)
     ]
     phrases += ["ا ب", "ا! ب? ا. ب،"]
-    expected = {
-        (phrase, ignore): outcome(_reference_gematria, phrase, Alphabet.ARABIC, ignore)
-        for phrase in phrases
-        for ignore in sets
-    }
-    wrong = []
+    seen = _race_codec([[("gematria", phrase, "ARABIC", ignore) for phrase in phrases]
+                        for ignore in sets])
+    assert seen == dict(errors=[], stuck=0, calls=8 * 50, differing=0, faults=[])
 
-    def work(ignore):
-        for phrase in phrases:
-            got = outcome(gematria, phrase, Alphabet.ARABIC, ignore)
-            if got != expected[phrase, ignore]:
-                wrong.append((phrase, ignore, got))
-
-    for _ in range(50):  # each round starts all threads at once
-        assert race(work, [(ignore,) for ignore in sets]) == ([], 0)
-    assert not wrong
-    assert codec._IGNORING[Alphabet.ARABIC].ignore in sets
-
-
-def _literal(result):
-    """An outcome as a literal: an error by its class name, a result as a plain tuple."""
-    kind, value = result
-    if kind != "value":
-        return kind.__name__, value
-    return kind, value if isinstance(value, int) else tuple(value)
-
-
-# The outcome of each (function name, word, alphabet name) call, in a fresh
-# interpreter whose eight threads each make every call, 50 rounds over.  Each
-# thread takes the calls in its own rotation, so that threads miss on different
-# characters together.  Each round puts every value table back to its letters
-# alone, as import leaves it, and empties the word memos, so that every call
-# misses again; a memo holds MEMO_ENTRIES words, when that is not None.
-_RACED_CALLS = """\
-from abjadnum import Alphabet, codec, decode, gematria
-from support import race
-
-LETTERS = {alphabet: dict(table) for alphabet, table in codec._VALUES.items()}
-FUNCTIONS = {"decode": decode, "gematria": gematria}
-CALLS = list(EXPECTED)
-if MEMO_ENTRIES is not None:
-    codec._MEMO_ENTRIES = MEMO_ENTRIES
-errors, stuck, calls, differing, met = [], 0, 0, 0, set()
-
-def outcome(name, word, alphabet):
-    try:
-        return "value", FUNCTIONS[name](word, Alphabet[alphabet])
-    except ValueError as err:
-        return type(err).__name__, str(err)
-
-def first_use(order, seen):
-    seen.append({call: outcome(*call) for call in order})
-
-for _ in range(50):
-    for alphabet, table in codec._VALUES.items():
-        table.clear()
-        table.update(LETTERS[alphabet])
-    for words in codec._WORDS.values():
-        words.clear()
-    outs = [[] for _ in range(8)]
-    raised, alive = race(first_use, [(CALLS[3 * i:] + CALLS[:3 * i], out)
-                                     for i, out in enumerate(outs)])
-    errors += raised
-    stuck += alive
-    for out in outs:
-        calls += len(out)
-        differing += sum(got != EXPECTED for got in out)
-    met |= {(alphabet.name, ch, table[ch]) for alphabet, table in codec._VALUES.items()
-            for ch in set(table) - set(LETTERS[alphabet])}
-print(repr(dict(errors=sorted(set(errors)), stuck=stuck, calls=calls, differing=differing,
-                met=sorted(met))))
-"""
 
 # Letters with the marks of both blocks, a combining mark outside them, the
 # tatweel, and a known letter of the other alphabet or an unknown character
@@ -773,18 +712,13 @@ _MARKED_WORDS = {
 
 
 def test_threads_that_meet_a_skipped_character_together_store_it_once_as_0():
-    expected = {}
-    for alphabet, words in _MARKED_WORDS.items():
-        for word in words:
-            expected["decode", word, alphabet.name] = _literal(
-                outcome(_reference_decode, word, alphabet, False))
-            expected["gematria", word, alphabet.name] = _literal(
-                outcome(_reference_gematria, word, alphabet, ""))
-    skipped = sorted({(alphabet.name, ch, 0) for alphabet, words in _MARKED_WORDS.items()
-                      for word in words for ch in word
-                      if outcome(_reference_values, ch, alphabet) == ("value", [])})
-    seen = ast.literal_eval(fresh(_RACED_CALLS, EXPECTED=expected, MEMO_ENTRIES=None))
-    assert seen == dict(errors=[], stuck=0, calls=8 * 50, differing=0, met=skipped)
+    calls = [(name, word, alphabet.name, option) for alphabet, words in _MARKED_WORDS.items()
+             for word in words for name, option in (("decode", False), ("gematria", ""))]
+    skipped = {(alphabet.name, ch, 0) for alphabet, words in _MARKED_WORDS.items()
+               for word in words for ch in word
+               if outcome(_reference_values, ch, alphabet) == ("value", [])}
+    seen = _race_codec([calls[3 * i:] + calls[:3 * i] for i in range(8)], skipped)
+    assert seen == dict(errors=[], stuck=0, calls=8 * 50, differing=0, faults=[])
     assert ("ARABIC", "\u1ab0", 0) in skipped and ("HEBREW", "\u064e", 0) in skipped
 
 
@@ -793,12 +727,11 @@ def test_threads_that_fill_a_small_word_memo_clear_it_and_sum_right():
     # clear it, under contention, many times a round.
     rng = random.Random(18)
     primary = [letter.codepoint for letter in letters(Alphabet.ARABIC)]
-    words = ["".join(rng.choices(primary, k=rng.randint(1, 5))) for _ in range(40)]
-    expected = {("gematria", word, "ARABIC"): _literal(
-        outcome(_reference_gematria, word, Alphabet.ARABIC, "")) for word in words}
-    assert len(expected) == 40
-    seen = ast.literal_eval(fresh(_RACED_CALLS, EXPECTED=expected, MEMO_ENTRIES=8))
-    assert seen == dict(errors=[], stuck=0, calls=8 * 50, differing=0, met=[])
+    calls = [("gematria", "".join(rng.choices(primary, k=rng.randint(1, 5))), "ARABIC", "")
+             for _ in range(40)]
+    assert len(set(calls)) == 40
+    seen = _race_codec([calls[3 * i:] + calls[:3 * i] for i in range(8)], memo_entries=8)
+    assert seen == dict(errors=[], stuck=0, calls=8 * 50, differing=0, faults=[])
 
 
 def _reference_encode(n, alphabet):

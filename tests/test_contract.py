@@ -222,9 +222,11 @@ def test_cli_exits_0_1_or_2_and_reads_numbers_strictly(drawn):
     code, out, err = run_cli(argv, stdin)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
-    if any(_NOT_UTF8 in arg for arg in argv):
+    bad = [arg for arg in argv if _NOT_UTF8 in arg]
+    if bad:
         assert (code, out) == (2, ""), argv
-        assert err.startswith("usage error: 'utf-8' codec can't encode"), err
+        raw = bad[0].encode("utf-8", "surrogateescape")
+        assert err == f"usage error: argument {raw!r} is not UTF-8\n", err
     if code == 0 and argv[0] in _NUMBER_COMMANDS:
         assert value.isascii() and value.isdigit(), value
 

@@ -14,7 +14,7 @@ from abjadnum import (
     format_reading,
 )
 from abjadnum import reading as reading_module
-from support import fresh, outcome, reference_decompose, reference_format
+from support import outcome, reference_decompose, reference_format
 
 
 def flat_components(reading):
@@ -193,15 +193,6 @@ def test_each_reading_table_holds_at_most_one_entry_per_group_value():
     tables = (*reading_module._GROUPS, reading_module._COMPONENTS, reading_module._SPOKEN)
     assert len(reading_module._GROUPS) == len(DEFAULT_LABELS)
     assert max(map(len, tables)) <= 1000
-
-
-def test_no_reading_table_is_filled_at_import():
-    # A fresh interpreter, because this one has long since filled the tables.
-    code = (
-        "import abjadnum; from abjadnum import reading; "
-        "print(*map(len, (*reading._GROUPS, reading._COMPONENTS, reading._SPOKEN)))"
-    )
-    assert fresh(code).split() == ["0"] * (len(DEFAULT_LABELS) + 2)
 
 
 def test_a_second_reading_hands_out_the_same_group_records():

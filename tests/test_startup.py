@@ -19,8 +19,11 @@ test is what starts, and compares ``sys.modules`` before and after, so a
 """
 
 import ast
+import importlib
+from pathlib import Path
 
-from support import fresh
+from abjadnum import Alphabet, letters
+from support import PACKAGE, Race, fresh
 
 DEFERRED = {"json", "unicodedata"}
 NEVER_LOADED = {"dataclasses", "inspect"}
@@ -33,6 +36,7 @@ FIRST_USES = {
     "provenance-not-a-script": 'digit_provenance(0, "western")',
     "cli-provenance-json": 'cli.main(["provenance", "--script", "original", "--json", "4"])',
     "cli-gematria-json": 'cli.main(["gematria", "--alphabet", "arabic", "--json", "اللّه"])',
+    "cli-encode-json": 'cli.main(["encode", "--alphabet", "arabic", "--json", "1245"])',
     # A combining mark outside U+0590-06FF, which the skip rule asks unicodedata about.
     "decode-foreign-mark": 'decode("\\u0628\\u1ab0", Alphabet.ARABIC)',
 }
@@ -57,7 +61,6 @@ import abjadnum
 imported = set(sys.modules)
 from abjadnum import Alphabet, DigitScript, cli, decode, digit_provenance, digits, gematria
 with_cli = set(sys.modules)
-filled_at_import = sum(map(len, digits._PROVENANCE.values()))
 
 def run(call):
     stdout, sys.stdout = sys.stdout, io.StringIO()
@@ -77,7 +80,6 @@ print(repr(dict(
     imported=sorted(imported - before),
     cli=sorted(with_cli - before),
     called=sorted(set(sys.modules) - called),
-    filled_at_import=filled_at_import,
     filled=sum(map(len, digits._PROVENANCE.values())),
     result=result,
     printed=printed,
@@ -93,25 +95,11 @@ def _first_call(call: str, warm_up=()) -> dict:
     )
 
 
-def test_import_loads_neither_json_nor_unicodedata_nor_the_provenance_table():
+def test_import_loads_neither_json_nor_unicodedata():
     seen = _first_call("None")
     assert DEFERRED.isdisjoint(seen["imported"]), seen
     assert "json" not in seen["cli"], seen
     assert NEVER_LOADED.isdisjoint(seen["cli"]), seen
-    assert seen["filled_at_import"] == 0
-
-
-def test_a_json_cli_call_loads_no_json():
-    seen = _first_call('cli.main(["encode", "--alphabet", "arabic", "--json", "1245"])')
-    assert (seen["result"], seen["printed"]) == ("0", (
-        '{"alphabet": "arabic", "value": 1245, "text": "همرغ", "letters": ['
-        '{"codepoint": "ه", "name": "Haa", "value": 5}, '
-        '{"codepoint": "م", "name": "Mim", "value": 40}, '
-        '{"codepoint": "ر", "name": "Raa", "value": 200}, '
-        '{"codepoint": "غ", "name": "Ghin", "value": 1000}]}\n'
-    ))
-    assert "json" not in seen["cli"] + seen["called"], seen
-    assert seen["filled"] == 0
 
 
 def pytest_generate_tests(metafunc):
@@ -142,6 +130,28 @@ def test_the_not_a_script_message_is_the_lookup_message():
     assert seen["result"] == repr(ValueError("script must be a DigitScript, not str"))
 
 
+# One first call of each public operation.
+FIRST_CALLS = """\
+from abjadnum import *
+
+A, S = Alphabet.ARABIC, DigitScript.MASHREKI_EASTERN
+letters(A)
+letter_by_value(A, 40)
+letter_for_codepoint("م")
+encode(1245, A)
+decode("همرغ", A)
+decode("همرغ", A, strict=True)
+gematria("بِسْمِ اللّه،", A, "،")
+gematria("بِسْمِ اللّه", A)
+parse_digits(render_digits(1225, S), S)
+transliterate("1225/03/14", DigitScript.WESTERN, S)
+digit_provenance(4, S)
+format_reading(decompose(12457892), "ltr")
+format_reading(decompose(12457892), "rtl")
+hijri_to_gregorian_year(1225)
+gregorian_to_hijri_year(1810)
+"""
+
 _NO_EVAL = """\
 import builtins, sys
 
@@ -161,23 +171,7 @@ def spy(source, *args, **kwargs):
     return real_eval(source, *args, **kwargs)
 
 builtins.eval = spy
-from abjadnum import *
-from abjadnum import alphabets, chronology, codec, digits, errors, reading
-
-A, S = Alphabet.ARABIC, DigitScript.MASHREKI_EASTERN
-letters(A)
-letter_by_value(A, 40)
-letter_for_codepoint("م")
-encode(1245, A)
-decode("همرغ", A)
-decode("همرغ", A, strict=True)
-gematria("بِسْمِ اللّه،", A, "،")
-parse_digits(render_digits(1225, S), S)
-transliterate("1225/03/14", DigitScript.WESTERN, S)
-digit_provenance(4, S)
-format_reading(decompose(12457892), "ltr")
-hijri_to_gregorian_year(1225)
-gregorian_to_hijri_year(1810)
+exec(FIRST_CALLS, {})
 builtins.eval = real_eval
 print(repr(evaluated))
 """
@@ -185,112 +179,115 @@ print(repr(evaluated))
 
 def test_import_and_first_calls_generate_no_code():
     # collections.namedtuple compiles each record class's __new__ with eval.
-    assert ast.literal_eval(fresh(_NO_EVAL)) == []
+    assert ast.literal_eval(fresh(_NO_EVAL, FIRST_CALLS=FIRST_CALLS)) == []
 
 
-_CONCURRENT = """\
-from abjadnum import Alphabet, DigitScript, decode, digit_provenance, digits
-from support import race
+# Every module-level dict, list, set and tuple of the package, and the
+# package's own globals, each by the size of the table and of each dict, list
+# or set it holds: as import leaves them, and those that FIRST_CALLS change.
+_TABLES = """\
+import importlib, pkgutil
+import abjadnum
 
-THREADS, ROUNDS = 8, 200
-WORDS = "بِسْمِ اللّٰهِ".split()
-PAIRS = [(script, digit) for script in DigitScript for digit in range(10)]
-results, errors, stuck = [], [], 0
+def state(table):
+    held = table.values() if isinstance(table, dict) else table
+    return (len(table), *[len(t) for t in held if isinstance(t, (dict, list, set))])
 
-def first_use():
-    results.append(([digit_provenance(d, s) for s, d in PAIRS],
-                    [decode(word, Alphabet.ARABIC) for word in WORDS]))
-
-# Round 0 is the first use of everything; each later round empties the
-# provenance table, so that its first use races again.
-for round_ in range(ROUNDS):
-    if round_:
-        digits._PROVENANCE.clear()
-    raised, alive = race(first_use, [()] * THREADS)
-    errors += raised
-    stuck += alive
-alone = ([digit_provenance(d, s) for s, d in PAIRS],
-         [decode(word, Alphabet.ARABIC) for word in WORDS])
-print(repr(dict(
-    errors=sorted(set(errors)),
-    stuck=stuck,
-    calls=len(results) + len(errors),
-    differing=sum(result != alone for result in results),
-    pairs=len(alone[0]),
-    words=alone[1],
-)))
+tables = {PACKAGE: vars(abjadnum)}
+at_import = {PACKAGE: state(vars(abjadnum))}
+bound = sorted(set(vars(abjadnum)) & {*abjadnum.__all__, *abjadnum._EXPORTS})
+for info in pkgutil.iter_modules(abjadnum.__path__):
+    if info.name != "__main__":
+        module = importlib.import_module(f"abjadnum.{info.name}")
+        for name, table in vars(module).items():
+            if isinstance(table, (dict, list, set, tuple)) and not name.startswith("__"):
+                tables[f"{info.name}.{name}"] = table
+                at_import[f"{info.name}.{name}"] = state(table)
+values = {alphabet.name: sorted(table) for alphabet, table in tables["codec._VALUES"].items()}
+exec(FIRST_CALLS, {})
+print(repr(dict(bound=bound, values=values, changed={
+    name: at_import[name] for name, table in tables.items() if state(table) != at_import[name]
+})))
 """
+
+
+def _raced_tables():
+    """Every table that the Race of some test module restores."""
+    modules = [importlib.import_module(path.stem)
+               for path in Path(__file__).parent.glob("test_*.py")]
+    return {name for module in modules for race in vars(module).values()
+            if isinstance(race, Race) for name in race.tables}
+
+
+def test_every_table_a_first_call_fills_starts_empty_and_is_raced():
+    seen = ast.literal_eval(fresh(_TABLES, FIRST_CALLS=FIRST_CALLS, PACKAGE=PACKAGE))
+    assert sorted(seen["changed"]) == sorted(_raced_tables())
+    # Import leaves each of them empty, or each table it holds: but the value
+    # tables, which hold the letters, and the package, which binds no lazy
+    # name yet.
+    assert seen["bound"] == []
+    assert seen["values"] == {
+        alphabet.name: sorted(cp for letter in letters(alphabet) for cp in letter.codepoints)
+        for alphabet in Alphabet
+    }
+    assert [name for name, (size, *held) in seen["changed"].items()
+            if any(held or [size]) and name not in (PACKAGE, "codec._VALUES")] == []
+
+
+# Eight threads make every first call of the provenance table and decode two
+# words, 200 rounds over, each round from an empty provenance table.
+_PROVENANCE_RACE = Race(("digits._PROVENANCE",), """\
+from abjadnum import Alphabet, DigitScript, decode, digit_provenance
+from support import race_rounds
+
+WORDS = "بِسْمِ اللّٰهِ".split()
+CALLS = [(digit_provenance, digit, script) for script in DigitScript for digit in range(10)]
+CALLS += [(decode, word, Alphabet.ARABIC) for word in WORDS]
+seen = race_rounds(lambda call: call[0](*call[1:]), [CALLS] * 8, 200, TABLES)
+print(repr(dict(seen, words=[decode(word, Alphabet.ARABIC) for word in WORDS])))
+""")
 
 
 def test_a_concurrent_first_use_sees_whole_tables():
-    seen = ast.literal_eval(fresh(_CONCURRENT))
-    assert seen == dict(
-        errors=[], stuck=0, calls=8 * 200, differing=0, pairs=30, words=[102, 66]
+    assert _PROVENANCE_RACE.run() == dict(
+        errors=[], stuck=0, calls=8 * 200, differing=0, faults=[], words=[102, 66]
     )
 
 
-_GROUP_RACE = """\
+# Eight threads read and speak numbers, 50 rounds over, each round from empty
+# group, components and speech tables.  Each thread reads the numbers in its
+# own order, so they miss on different ones.
+_GROUP_RACE = Race(("reading._GROUPS", "reading._COMPONENTS", "reading._SPOKEN"), """\
 import random
 from abjadnum import decompose, format_reading, reading
-from support import race, reference_decompose, reference_format
+from support import race_rounds, reference_decompose, reference_format
 
-THREADS, ROUNDS = 8, 50
 rng = random.Random(19)
 NUMBERS = [rng.randrange(10 ** rng.randint(1, 15)) for _ in range(200)] + [0, 10**12 + 5]
-results, errors, stuck = [], [], 0
-
-def first_use(order):
-    readings = {}
-    for n in order:
-        got = decompose(n)
-        readings[n] = got, format_reading(got, "rtl", LABELS)
-    results.append(readings)
-
 EXPECTED = {n: (got, reference_format(got, "rtl", LABELS, False))
             for n, got in zip(NUMBERS, map(reference_decompose, NUMBERS))}
-calls = differing = unshared = 0
-# Each round empties the group, components and speech tables, so that their
-# first use races again; each thread reads the numbers in its own order, so
-# they miss on different ones.
-for _ in range(ROUNDS):
-    for table in (*reading._GROUPS, reading._COMPONENTS, reading._SPOKEN):
-        table.clear()
-    results.clear()
-    raised, alive = race(first_use, [(NUMBERS[25 * i:] + NUMBERS[:25 * i],)
-                                     for i in range(THREADS)])
-    errors += raised
-    stuck += alive
-    calls += len(results)
-    for readings in results:
-        differing += readings != EXPECTED
-        # A record of a shared index is the one its table holds, and every
-        # group's components are the tuple the components table holds.
-        unshared += sum(
-            group is not table[group.value]
-            for got, _ in readings.values()
-            for group, table in zip(got.groups, reading._GROUPS)
-        )
-        unshared += sum(
-            group.components is not reading._COMPONENTS[group.value]
-            for got, _ in readings.values()
-            for group in got.groups
-        )
-print(repr(dict(
-    errors=sorted(set(errors)),
-    stuck=stuck,
-    calls=calls,
-    differing=differing,
-    unshared=unshared,
-    tables=len(reading._GROUPS),
-    largest=max(map(len, (*reading._GROUPS, reading._COMPONENTS, reading._SPOKEN))),
-)))
-"""
+
+def read(n):
+    got = decompose(n)
+    return got, format_reading(got, "rtl", LABELS)
+
+def check(outs, expected):
+    # A record of a shared index is the one its table holds, and every
+    # group's components are the tuple the components table holds.
+    return [n for out in outs for n, (got, _) in out.items()
+            if any(group is not table[group.value]
+                   for group, table in zip(got.groups, reading._GROUPS))
+            or any(group.components is not reading._COMPONENTS[group.value]
+                   for group in got.groups)]
+
+ORDERS = [NUMBERS[25 * i:] + NUMBERS[:25 * i] for i in range(8)]
+print(repr(race_rounds(read, ORDERS, 50, TABLES, EXPECTED, check)))
+""")
 
 
 def test_threads_racing_the_first_reading_share_whole_group_records():
-    seen = ast.literal_eval(fresh(_GROUP_RACE, LABELS=tuple(f"L{i}" for i in range(6))))
-    assert seen.pop("largest") <= 1000, seen
-    assert seen == dict(errors=[], stuck=0, calls=8 * 50, differing=0, unshared=0, tables=4)
+    seen = _GROUP_RACE.run(LABELS=tuple(f"L{i}" for i in range(6)))
+    assert seen == dict(errors=[], stuck=0, calls=8 * 50, differing=0, faults=[])
 
 
 # The 39 public names, in the order __all__ has always listed them.
@@ -440,39 +437,27 @@ def test_every_public_name_is_the_object_in_its_module():
                         homeless=[], differing=[], submodules=[True] * len(MODULES))
 
 
-_RACE = """\
+# Eight threads each read every public name and module of the package, 50
+# rounds over, each round from a fresh package.  Each thread asks in its own
+# order, so they start on different modules, and each must get the object
+# bound after the round: for a module, the one imported.
+_PACKAGE_RACE = Race((PACKAGE,), """\
 import importlib, sys
-from support import race
+import abjadnum
+from support import race_rounds
 
-THREADS, ROUNDS = 8, 50
+NAMES = list(abjadnum.__all__) + MODULES
 
-def first_access(names, out):
-    out.append([getattr(abjadnum, name) for name in names])
+def check(outs, expected):
+    return [name for out in outs for name, got in out.items() if got is not expected[name]] + [
+        name for name in MODULES if expected[name] is not importlib.import_module(f"abjadnum.{name}")]
 
-errors, stuck, differing, calls = [], 0, 0, 0
-for _ in range(ROUNDS):
-    # Each round starts from a fresh package, so the first access races again.
-    for name in [name for name in sys.modules if name.split(".")[0] == "abjadnum"]:
-        del sys.modules[name]
-    import abjadnum
-    names = list(abjadnum.__all__) + MODULES
-    # Each thread asks in its own order, so they start on different modules.
-    orders = [names[5 * i:] + names[:5 * i] for i in range(THREADS)]
-    outs = [[] for _ in range(THREADS)]
-    raised, alive = race(first_access, list(zip(orders, outs)))
-    errors += raised
-    stuck += alive
-    alone = {name: getattr(abjadnum, name) for name in names}
-    for order, out in zip(orders, outs):
-        calls += len(out)
-        differing += sum(got is not alone[name]
-                         for values in out for name, got in zip(order, values))
-    modules = [importlib.import_module(f"abjadnum.{name}") for name in MODULES]
-    differing += sum(alone[name] is not module for name, module in zip(MODULES, modules))
-print(repr(dict(errors=sorted(set(errors)), stuck=stuck, calls=calls, differing=differing)))
-"""
+ORDERS = [NAMES[5 * i:] + NAMES[:5 * i] for i in range(8)]
+print(repr(race_rounds(lambda name: getattr(sys.modules["abjadnum"], name), ORDERS, 50, TABLES,
+                       check=check)))
+""")
 
 
 def test_threads_racing_the_first_access_get_the_same_objects():
-    seen = ast.literal_eval(fresh(_RACE, MODULES=MODULES))
-    assert seen == dict(errors=[], stuck=0, calls=8 * 50, differing=0)
+    seen = _PACKAGE_RACE.run(MODULES=MODULES)
+    assert seen == dict(errors=[], stuck=0, calls=8 * 50, differing=0, faults=[])
