@@ -33,7 +33,7 @@ from abjadnum import (
     letters,
 )
 from abjadnum import codec
-from support import Race, outcome
+from support import Race, fresh, outcome
 
 
 _RANK_BANDS = ((1, 9), (10, 90), (100, 900), (1000, 1000))
@@ -122,6 +122,24 @@ class _Int(int):
     pass
 
 
+# Run in a fresh interpreter, where the scan in test_startup.py finds every
+# table empty: each value's first encode builds its record, so its first text
+# is the one the miss stored, and the second is read back from _TEXTS.
+_COLD_TEXTS = """
+from abjadnum import Alphabet, codec, encode
+wrong = []
+for alphabet in Alphabet:
+    for n in range(1, codec.MAX_ENCODABLE[alphabet] + 1):
+        numeral = encode(n, alphabet)
+        joined = "".join([letter.codepoint for letter in numeral.letters])
+        first = numeral.text
+        second = numeral.text
+        if (first, second) != (joined, joined):
+            wrong.append((alphabet.name, n, first, second, joined))
+print(len(codec._TEXTS), wrong)
+"""
+
+
 # Threads, more than there are cores, walk every value in one order, so that
 # they miss on the same value together, each round from empty tables.  Each
 # value must come out as one record, and each kept text must be the joined
@@ -146,6 +164,9 @@ print(repr(race_rounds(lambda call: encode(*call), [CALLS] * 8, 4, TABLES, check
 
 
 class TestSharedNumerals:
+    def test_every_first_text_is_its_letters_joined(self):
+        assert fresh(_COLD_TEXTS) == f"{sum(MAX_ENCODABLE.values())} []\n"
+
     def test_threads_that_miss_together_share_one_record(self):
         assert _ENCODE_RACE.run() == dict(errors=[], stuck=0, calls=8 * 4, differing=0,
                                           faults=[])
@@ -196,6 +217,17 @@ class TestSharedNumerals:
         assert (dict(table), dict(codec._TEXTS)) == before
         assert len(table) <= limit
         assert len(codec._TEXTS) <= sum(MAX_ENCODABLE.values())
+
+    def test_each_kept_text_belongs_to_a_stored_record(self):
+        # In this process, after the numerals built by hand above.
+        for alphabet in Alphabet:
+            for n in range(1, MAX_ENCODABLE[alphabet] + 1):
+                encode(n, alphabet)
+        stored = [numeral.letters for table in codec._NUMERALS.values()
+                  for numeral in table.values()]
+        assert set(codec._TEXTS) == set(map(id, stored))
+        for letters_ in stored:
+            assert codec._TEXTS[id(letters_)] == "".join([x.codepoint for x in letters_])
 
 
 class TestDecode:
